@@ -14,9 +14,10 @@ Conventions used throughout the package:
 * Every primitive checks its output for NaN/Inf and raises
   ``NonFiniteError`` immediately, so numerical blowups surface at the op
   that produced them rather than three modules later.
-* Attention masks are boolean arrays (True = attend).  Masking happens
-  inside the ``softmax`` primitive, which gives masked positions exactly
-  zero weight without ever materialising -inf in a tensor.
+* Attention masks are boolean arrays (True = attend).  ``softmax`` and the
+  fused ``multi_head_attention`` turn a mask into an additive 0/-inf bias
+  of the mask's own shape, so masked positions get exactly zero weight;
+  -inf never reaches a tensor's data.
 """
 
 from __future__ import annotations
@@ -230,7 +231,12 @@ class Tensor:
     # -- gradient machinery ---------------------------------------------------
 
     def _accumulate(self, g: np.ndarray) -> None:
+        # the first gradient is copied, never kept: ops hand the same array
+        # (or views of it) to several parents, and later ones add in place
         if self.grad is None:
+            if g.shape == self.data.shape:
+                self.grad = np.array(g, dtype=self.data.dtype, copy=True)
+                return
             self.grad = np.zeros_like(self.data)
         self.grad += g
 
@@ -637,25 +643,45 @@ def relu(a) -> Tensor:
     return _make(data, (a,), backward, "relu")
 
 
+def _mask_bias(mask, shape: tuple, axis: int, dtype) -> np.ndarray:
+    """Additive bias for a boolean mask (True = keep): 0 where kept, -inf where
+    masked, in the mask's own broadcast shape rather than the full ``shape``.
+
+    Raises ``ShapeError`` when the mask would enlarge ``shape`` or leaves a
+    row along ``axis`` with nothing to attend to.
+    """
+    m = np.asarray(mask, dtype=bool)
+    if np.broadcast_shapes(m.shape, shape) != tuple(shape):
+        raise ShapeError(f"mask of shape {m.shape} does not broadcast to {shape}")
+    m = m.reshape((1,) * (len(shape) - m.ndim) + m.shape)
+    if not m.any(axis=axis).all():
+        raise ShapeError("softmax mask leaves at least one row fully masked")
+    bias = np.zeros(m.shape, dtype=dtype)
+    bias[~m] = -np.inf
+    return bias
+
+
+def _softmax_inplace(z: np.ndarray, axis: int) -> np.ndarray:
+    """Overwrite ``z`` with its softmax along ``axis``; -inf entries become
+    exactly 0, and every row must hold at least one finite entry."""
+    z -= z.max(axis=axis, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=axis, keepdims=True)
+    return z
+
+
 def softmax(a, axis: int = -1, mask: np.ndarray | None = None) -> Tensor:
     """Numerically stable softmax; masked entries (mask False) get exactly zero weight.
 
     The mask is applied before normalisation, so unmasked entries renormalise
-    over the visible set - identical to adding -inf to masked logits, but no
-    non-finite value ever appears in tensor data.
+    over the visible set, as if -inf were added to the masked logits.
     """
     a = as_tensor(a)
-    z = a.data
-    if mask is not None:
-        m = np.broadcast_to(np.asarray(mask, dtype=bool), z.shape)
-        if not m.any(axis=axis).all():
-            raise ShapeError("softmax mask leaves at least one row fully masked")
-        hi = np.where(m, z, -np.inf).max(axis=axis, keepdims=True)
-        e = np.where(m, np.exp(z - hi), 0.0)
+    if mask is None:
+        z = a.data - a.data.max(axis=axis, keepdims=True)
     else:
-        hi = z.max(axis=axis, keepdims=True)
-        e = np.exp(z - hi)
-    data = e / e.sum(axis=axis, keepdims=True)
+        z = a.data + _mask_bias(mask, a.shape, axis, a.dtype)
+    data = _softmax_inplace(z, axis)
 
     def backward(g):
         if a.requires_grad:
@@ -726,48 +752,63 @@ def padding_mask(lengths, max_len: int) -> np.ndarray:
     return np.arange(max_len)[None, :] < lengths[:, None]
 
 
-def _split_heads(x: Tensor, num_heads: int) -> Tensor:
-    *lead, L, d = x.shape
-    dk = d // num_heads
-    if x.ndim == 2:
-        return transpose(reshape(x, (L, num_heads, dk)), (1, 0, 2))
-    if x.ndim == 3:
-        b = lead[0]
-        return transpose(reshape(x, (b, L, num_heads, dk)), (0, 2, 1, 3))
-    raise ShapeError(f"attention input must be 2-D or 3-D, got {x.shape}")
-
-
-def _merge_heads(x: Tensor) -> Tensor:
-    if x.ndim == 3:  # [H, L, dk]
-        h, L, dk = x.shape
-        return reshape(transpose(x, (1, 0, 2)), (L, h * dk))
-    b, h, L, dk = x.shape
-    return reshape(transpose(x, (0, 2, 1, 3)), (b, L, h * dk))
-
-
 def multi_head_attention(q, k, v, num_heads: int, mask: np.ndarray | None = None,
                          return_weights: bool = False):
-    """Scaled dot-product attention with head splitting.
+    """Scaled dot-product attention with head splitting, as one graph node.
 
-    ``q`` is [L_q, d] or [B, L_q, d]; ``k``/``v`` share a key length.  ``mask``
-    must broadcast against the score shape ([..., H, L_q, L_k]); True means
-    the query may attend to the key.  Projections live in the calling layer;
-    this routine is purely the attention core.
+    ``q`` is [..., L_q, d]; ``k``/``v`` are [..., L_k, d] with the same
+    leading axes.  ``mask`` must broadcast against the score shape
+    ([..., H, L_q, L_k]); True means the query may attend to the key.
+    Projections live in the calling layer; this routine is purely the
+    attention core.  The backward pass works from the saved attention
+    weights alone, so they are the only [..., H, L_q, L_k] array the graph
+    keeps.  With ``return_weights`` the weights come back as a second,
+    constant tensor.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     d = q.shape[-1]
     if d % num_heads != 0:
         raise ConfigurationError(f"model width {d} not divisible by {num_heads} heads")
-    if k.shape[-1] != d or v.shape[-1] != d or k.shape[-2] != v.shape[-2]:
+    if (q.ndim < 2 or k.shape[-1] != d or v.shape[-1] != d or k.shape[-2] != v.shape[-2]
+            or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]):
         raise ShapeError(f"attention operand shapes disagree: {q.shape}, {k.shape}, {v.shape}")
     dk = d // num_heads
-    qh, kh, vh = _split_heads(q, num_heads), _split_heads(k, num_heads), _split_heads(v, num_heads)
-    kt = transpose(kh, tuple(range(kh.ndim - 2)) + (kh.ndim - 1, kh.ndim - 2))
-    scores = mul(matmul(qh, kt), 1.0 / math.sqrt(dk))
-    weights = softmax(scores, axis=-1, mask=mask)
-    out = _merge_heads(matmul(weights, vh))
+    scale = 1.0 / math.sqrt(dk)
+
+    def split(x: np.ndarray) -> np.ndarray:  # [..., L, d] -> contiguous [..., H, L, dk]
+        heads = x.reshape(x.shape[:-1] + (num_heads, dk))
+        return np.ascontiguousarray(np.moveaxis(heads, -2, -3))
+
+    def merge(x: np.ndarray) -> np.ndarray:  # [..., H, L, dk] -> [..., L, d]
+        lead = x.shape[:-3] + (x.shape[-2], d)
+        return np.moveaxis(x, -3, -2).reshape(lead)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    probs = qh @ kh.swapaxes(-1, -2)
+    probs *= scale
+    _check_finite(probs, "attention_scores")
+    if mask is not None:
+        probs += _mask_bias(mask, probs.shape, -1, probs.dtype)
+    _softmax_inplace(probs, -1)
+    data = merge(probs @ vh)
+
+    def backward(g):
+        gh = split(g)
+        if v.requires_grad:
+            v._accumulate(merge(probs.swapaxes(-1, -2) @ gh))
+        # dS = P * (dP - rowsum(dP * P)), folded with the score scale
+        ds = gh @ vh.swapaxes(-1, -2)
+        ds -= (ds * probs).sum(axis=-1, keepdims=True)
+        ds *= probs
+        ds *= scale
+        if q.requires_grad:
+            q._accumulate(merge(ds @ kh))
+        if k.requires_grad:
+            k._accumulate(merge(ds.swapaxes(-1, -2) @ qh))
+
+    out = _make(data, (q, k, v), backward, "attention")
     if return_weights:
-        return out, weights
+        return out, Tensor(probs, dtype=probs.dtype)
     return out
 
 

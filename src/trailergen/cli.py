@@ -186,10 +186,11 @@ def cmd_gen_data(args) -> int:
 def _loss_csv(path, history: list[dict]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["step", "lr", "l_t", "l_rec", "l_kl", "total"])
+        writer.writerow(["step", "lr", "l_t", "l_rec", "l_kl", "total", "grad_norm"])
         for row in history:
             writer.writerow([row["step"], repr(row["lr"]), repr(row["l_t"]),
-                             repr(row["l_rec"]), repr(row["l_kl"]), repr(row["total"])])
+                             repr(row["l_rec"]), repr(row["l_kl"]), repr(row["total"]),
+                             repr(row["grad_norm"])])
 
 
 def cmd_train(args) -> int:

@@ -196,6 +196,15 @@ def _check_attention_core_masked(rng):
             [q, k, v])
 
 
+def _check_attention_core_batched_masked(rng):
+    """[B, L, d] inputs: 4-D head layout, causal mask combined with key padding."""
+    q, k, v = _leaf(rng, 2, 4, 4), _leaf(rng, 2, 4, 4), _leaf(rng, 2, 4, 4)
+    r = _probe(rng, (2, 4, 4))
+    m = ad.causal_mask(4)[None, None] & ad.padding_mask([4, 2], 4)[:, None, None, :]
+    return (lambda: _scalarize(ad.multi_head_attention(q, k, v, 2, mask=m), r),
+            [q, k, v])
+
+
 def _check_linear(rng):
     lin = Linear(4, 3, rng)
     x, r = _leaf(rng, 2, 4), _probe(rng, (2, 3))
@@ -317,6 +326,7 @@ CHECKS = {
     "layer_norm": _check_layer_norm,
     "attention_core": _check_attention_core,
     "attention_core_masked": _check_attention_core_masked,
+    "attention_core_batched_masked": _check_attention_core_batched_masked,
     "linear": _check_linear,
     "feed_forward": _check_feed_forward,
     "layer_norm_module": _check_layer_norm_module,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, asdict, fields, replace
 from pathlib import Path
@@ -296,11 +297,12 @@ def train(examples: list[PairExample], cfg: TrainConfig, model_cfg: ModelConfig,
                     elif ckpt_path.exists():
                         rescue = ckpt_path
                 raise TrainingDiverged(str(err), rescue) from err
-            clip_gradients(model.parameters(), cfg.clip_norm)
+            grad_norm = clip_gradients(model.parameters(), cfg.clip_norm)
             lr = lr_at_step(step, cfg)
             optimizer.step(lr)
             step += 1
-            history.append({"step": step, "lr": lr, **breakdown.as_dict()})
+            history.append({"step": step, "lr": lr, **breakdown.as_dict(),
+                            "grad_norm": grad_norm})
         if ckpt_path is not None and (
                 cfg.checkpoint_every and (epoch + 1) % cfg.checkpoint_every == 0):
             save(ckpt_path)
@@ -370,12 +372,21 @@ def save_checkpoint(path, model: TrailerModel, optimizer: AdamW | None,
         "payload_bytes": offset,
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<I", len(head)))
-        fh.write(head)
-        for blob in blobs:
-            fh.write(blob)
+    # write beside the target and rename over it, so a failed write never
+    # destroys the previous checkpoint (divergence rescue falls back to it)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_CKPT_MAGIC)
+            fh.write(struct.pack("<I", len(head)))
+            fh.write(head)
+            for blob in blobs:
+                fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> CheckpointData:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+from trailergen import autodiff as ad
+
 
 def levenshtein_recursive(a, b) -> int:
     """Exhaustive-recursion edit distance with memoization on suffixes."""
@@ -113,3 +115,22 @@ def kl_between_rows(target_row, pred_row) -> float:
     p = softmax_list(list(target_row))
     q = softmax_list(list(pred_row))
     return sum(pi * (math.log(pi) - math.log(qi)) for pi, qi in zip(p, q))
+
+
+def reference_attention(q, k, v, num_heads, mask=None):
+    """Multi-head attention as a chain of separate autodiff ops: split heads
+    with reshape + transpose, scale QK^T with mul, masked softmax, weights
+    times V, merge heads.  Works for any number of leading axes."""
+    *lead, lq, d = q.shape
+    dk = d // num_heads
+    nl = len(lead)
+    swap_lh = tuple(range(nl)) + (nl + 1, nl, nl + 2)  # [.., L, H, dk] <-> [.., H, L, dk]
+
+    def split(x):
+        return ad.transpose(ad.reshape(x, (*lead, x.shape[-2], num_heads, dk)), swap_lh)
+
+    qh, kh, vh = split(q), split(k), split(v)
+    kt = ad.transpose(kh, tuple(range(nl + 1)) + (nl + 2, nl + 1))
+    scores = ad.mul(ad.matmul(qh, kt), 1.0 / math.sqrt(dk))
+    weights = ad.softmax(scores, axis=-1, mask=mask)
+    return ad.reshape(ad.transpose(ad.matmul(weights, vh), swap_lh), (*lead, lq, d))

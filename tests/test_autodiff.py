@@ -4,6 +4,7 @@ against finite differences, mask semantics, and the error contract."""
 import math
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -179,6 +180,58 @@ def test_attention_causal_future_invariance_is_exact():
     assert np.array_equal(out1.data[:3], out2.data[:3])
 
 
+def _causal_and_padding(lq, lk):
+    return ad.causal_mask(lq)[None, None] & ad.padding_mask([lk, 3], lk)[:, None, None, :]
+
+
+def _key_padding(lq, lk):
+    return ad.padding_mask([lk, 2], lk)[:, None, None, :]
+
+
+# (leading axes, L_q, L_k, mask builder)
+ATTENTION_CASES = {
+    "batched_causal_and_padding": ((2,), 5, 5, _causal_and_padding),
+    "batched_cross_lq_ne_lk": ((2,), 3, 6, _key_padding),
+    "single_causal": ((), 4, 4, lambda lq, lk: ad.causal_mask(lq)),
+    "single_unmasked_lq_ne_lk": ((), 4, 7, lambda lq, lk: None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
+def test_fused_attention_matches_op_chain_reference(case):
+    lead, lq, lk, build_mask = ATTENTION_CASES[case]
+    rng = np.random.default_rng(11)
+    q = t64(rng.standard_normal(lead + (lq, 8)), requires_grad=True)
+    k = t64(rng.standard_normal(lead + (lk, 8)), requires_grad=True)
+    v = t64(rng.standard_normal(lead + (lk, 8)), requires_grad=True)
+    probe = rng.standard_normal(lead + (lq, 8))
+    mask = build_mask(lq, lk)
+    results = []
+    for attend in (ad.multi_head_attention, oracles.reference_attention):
+        for t in (q, k, v):
+            t.grad = None
+        out = attend(q, k, v, 2, mask=mask)
+        ad.tensor_sum(ad.mul(out, probe)).backward()
+        results.append([out.data] + [t.grad for t in (q, k, v)])
+    for name, fused, ref in zip(("out", "dq", "dk", "dv"), *results):
+        np.testing.assert_allclose(fused, ref, rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_attention_fully_masked_row_rejected():
+    x = t64(np.ones((2, 3, 4)))
+    with pytest.raises(ShapeError):
+        ad.multi_head_attention(x, x, x, 2, mask=ad.padding_mask([3, 0], 3)[:, None, None, :])
+
+
+def test_attention_is_one_graph_node():
+    rng = np.random.default_rng(5)
+    q, k, v = (t64(rng.standard_normal((2, 4, 4)), requires_grad=True) for _ in range(3))
+    out = ad.multi_head_attention(q, k, v, 2, mask=_causal_and_padding(4, 4))
+    assert len(out._parents) == 3
+    assert all(p is t for p, t in zip(out._parents, (q, k, v)))
+    assert out._backward_fn is not None
+
+
 # ---------------------------------------------------------------------------
 # elementwise
 # ---------------------------------------------------------------------------
@@ -321,6 +374,50 @@ def test_grad_accumulates_until_zeroed():
     for _ in range(3):
         ad.tensor_sum(ad.mul(p, p)).backward()
     assert np.allclose(p.grad, 6.0 * np.ones(2), atol=1e-6)
+
+
+@pytest.mark.parametrize("op, y_grad", [(ad.add, 1.0), (ad.sub, -1.0)])
+def test_binary_op_parents_get_independent_grads(op, y_grad):
+    # add/sub hand the same upstream array to both parents; x is used again
+    x = t64(np.zeros(3), requires_grad=True)
+    y = t64(np.zeros(3), requires_grad=True)
+    ad.tensor_sum(ad.add(op(x, y), ad.mul(x, 3.0))).backward()
+    assert np.array_equal(x.grad, np.full(3, 4.0))
+    assert np.array_equal(y.grad, np.full(3, y_grad))
+    assert not np.shares_memory(x.grad, y.grad)
+    x.grad[:] = 99.0
+    assert np.array_equal(y.grad, np.full(3, y_grad))
+
+
+def test_view_grads_are_copied_into_leaves():
+    # reshape and concat hand views of one upstream array to their parents
+    x = t64(np.zeros((2, 3)), requires_grad=True)
+    y = t64(np.zeros(6), requires_grad=True)
+    z = t64(np.zeros(6), requires_grad=True)
+    w = np.arange(12.0)
+    joined = ad.concat([ad.add(ad.reshape(x, (6,)), y), z])
+    ad.tensor_sum(ad.mul(joined, w)).backward()
+    assert np.array_equal(x.grad.reshape(-1), w[:6])
+    assert np.array_equal(y.grad, w[:6])
+    assert np.array_equal(z.grad, w[6:])
+    for a, b in ((x, y), (x, z), (y, z)):
+        assert not np.shares_memory(a.grad, b.grad)
+    y.grad += 1.0
+    assert np.array_equal(x.grad.reshape(-1), w[:6])
+
+
+def test_repeated_use_through_views_sums():
+    x = t64(np.zeros(3), requires_grad=True)
+    w = np.array([1.0, 2.0, 3.0, 10.0, 20.0, 30.0])
+    ad.tensor_sum(ad.mul(ad.concat([x, x]), w)).backward()
+    assert np.array_equal(x.grad, [11.0, 22.0, 33.0])
+
+
+def test_grad_keeps_parameter_dtype():
+    p = Parameter(np.ones(3, dtype=np.float32), dtype=np.float32)
+    ad.tensor_sum(ad.mul(p, t64([1.0, 2.0, 3.0]))).backward()  # float64 upstream
+    assert p.grad.dtype == np.float32
+    assert np.array_equal(p.grad, [1.0, 2.0, 3.0])
 
 
 def test_no_grad_blocks_graph_recording():

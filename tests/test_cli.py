@@ -166,7 +166,7 @@ class TestTrain:
     def test_loss_csv_header_and_rows(self, run_dir):
         with open(run_dir / "loss_log.csv", newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["step", "lr", "l_t", "l_rec", "l_kl", "total"]
+        assert rows[0] == ["step", "lr", "l_t", "l_rec", "l_kl", "total", "grad_norm"]
         assert len(rows) - 1 == 2 * 2  # 6 pairs / batch 4 = 2 steps x 2 epochs
         for row in rows[1:]:
             assert int(row[0]) >= 1

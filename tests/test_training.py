@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from trailergen import autodiff as ad
+from trailergen import training
 from trailergen.autodiff import ConfigurationError, Parameter
 from trailergen.config import ModelConfig, with_overrides
 from trailergen.losses import (kl_loss, reconstruction_loss, total_loss,
@@ -388,7 +389,9 @@ class TestTrain:
         assert len(result.history) == 2 * 2  # ceil(3/2) steps x 2 epochs
         assert [h["step"] for h in result.history] == [1, 2, 3, 4]
         assert set(result.history[0]) == {"step", "lr", "l_t", "l_rec",
-                                          "l_kl", "total"}
+                                          "l_kl", "total", "grad_norm"}
+        assert all(math.isfinite(h["grad_norm"]) and h["grad_norm"] > 0.0
+                   for h in result.history)
 
     def test_single_pair_overfits(self):
         # the loss should collapse by well over an order of magnitude
@@ -458,6 +461,39 @@ class TestCheckpoint:
         result = train(pairs, cfg, SLIM, out_dir=tmp_path)
         ck = load_checkpoint(result.checkpoint_path)
         assert ck.extras["suggested_max_len"] == suggested_decode_cap(pairs)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        pairs = tiny_pairs(1)
+        cfg = TrainConfig(epochs=1, batch_size=1, lr_peak=1e-3, seed=2)
+        result = train(pairs, cfg, SLIM, out_dir=tmp_path)
+        path = result.checkpoint_path
+        before = path.read_bytes()
+
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 2:
+                    raise OSError("no space left on device")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(training, "open",
+                            lambda *a, **kw: FullDisk(open(*a, **kw)), raising=False)
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(path, result.model, result.optimizer, cfg, SLIM,
+                            step=99)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert load_checkpoint(path).step == result.optimizer.step_count
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.ckpt"
