@@ -225,8 +225,10 @@ def cmd_train(args) -> int:
         result = train(examples, train_cfg, model_cfg, out_dir=out,
                        resume_from=args.resume, data_fingerprint=fingerprint)
     except TrainingDiverged as err:
-        _loss_csv(out / "loss_log.csv", [])
+        _loss_csv(out / "loss_log.csv", err.history)
         where = f"; last checkpoint: {err.checkpoint_path}" if err.checkpoint_path else ""
+        if err.rescue_path:
+            where += f"; last finite step: {err.rescue_path}"
         print(f"training diverged: {err}{where}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -67,34 +67,78 @@ class ShotSequence:
         return self.embeddings.shape[1]
 
 
+# Bound on the [rows, m, d] float64 product one block of the cosine kernel
+# holds at a time.  A single row may exceed it when m * d * 8 alone does.
+_BLOCK_BYTES = 8 * 2**20
+
+
+def _dot(x, y, out=None):
+    """Dot products along the last axis, broadcasting the leading ones.
+
+    Both the scalar and the matrix cosine reduce through this one expression:
+    an elementwise product summed over d contiguous values, so every pair is
+    summed in the same (pairwise) order whatever the leading shape.  BLAS
+    ``ddot`` and ``dgemm`` each use their own order and would not agree.
+    """
+    return np.add.reduce(x * y, axis=-1, out=out)
+
+
+def _norm(x):
+    return np.sqrt(_dot(x, x))
+
+
+def _zero_norm():
+    return DomainError("cosine similarity undefined for zero-norm vectors")
+
+
 def cosine_similarity(u, v) -> float:
     """Cosine of the angle between two embedding vectors, clipped to [-1, 1]."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape or u.ndim != 1:
         raise ShapeError(f"cosine_similarity needs equal-length vectors, got {u.shape}, {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
+    nu = _norm(u)
+    nv = _norm(v)
     if nu == 0.0 or nv == 0.0:
-        raise DomainError("cosine similarity undefined for zero-norm vectors")
-    return float(min(1.0, max(-1.0, np.dot(u, v) / (nu * nv))))
+        raise _zero_norm()
+    return float(min(1.0, max(-1.0, _dot(u, v) / (nu * nv))))
+
+
+def _cosine_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[n, m] cosines between float64 rows ``a [n, d]`` and ``b [m, d]``.
+
+    Works over row blocks of ``a`` so the product temporary stays under
+    ``_BLOCK_BYTES``; each entry is the same arithmetic as
+    :func:`cosine_similarity` on that pair.
+    """
+    nb = _norm(b)
+    if np.any(nb == 0.0):
+        raise _zero_norm()
+    n, m = a.shape[0], b.shape[0]
+    out = np.empty((n, m), dtype=np.float64)
+    rows = max(1, _BLOCK_BYTES // (8 * max(1, m * a.shape[1])))
+    for lo in range(0, n, rows):
+        blk = a[lo:lo + rows]
+        na = _norm(blk)
+        if np.any(na == 0.0):
+            raise _zero_norm()
+        dots = out[lo:lo + rows]
+        _dot(blk[:, None, :], b, out=dots)
+        dots /= na[:, None] * nb
+    return np.clip(out, -1.0, 1.0, out=out)
 
 
 def similarity_matrix(movie_embeddings, trailer_embeddings) -> np.ndarray:
     """[n, m] matrix of pairwise cosines, entry (i, j) = cos(movie_i, trailer_j).
 
-    Evaluated entrywise at 64-bit so each entry is exactly what
+    Evaluated at 64-bit so each entry is exactly what
     :func:`cosine_similarity` returns on the corresponding pair.
     """
     a = np.asarray(movie_embeddings, dtype=np.float64)
     b = np.asarray(trailer_embeddings, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeError(f"incompatible shapes {a.shape}, {b.shape}")
-    out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
-    for i in range(a.shape[0]):
-        for j in range(b.shape[0]):
-            out[i, j] = cosine_similarity(a[i], b[j])
-    return out
+    return _cosine_kernel(a, b)
 
 
 def trailerness_ground_truth(movie_embeddings, trailer_embeddings) -> np.ndarray:

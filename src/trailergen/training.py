@@ -202,9 +202,21 @@ def batch_loss(model: TrailerModel, batch: Batch, weights=(1.0, 1.0, 1.0),
 
 
 class TrainingDiverged(RuntimeError):
-    def __init__(self, message: str, checkpoint_path=None):
+    """A non-finite value stopped training.
+
+    ``checkpoint_path`` names the last epoch-aligned checkpoint, which
+    ``train(resume_from=...)`` accepts, or is None.  ``rescue_path`` names the
+    parameters of the last completed step, saved mid-epoch to a sibling file
+    that cannot be resumed, or is None when they are non-finite too.
+    ``history`` holds the rows of the steps completed before the failure.
+    """
+
+    def __init__(self, message: str, checkpoint_path=None, rescue_path=None,
+                 history=None):
         super().__init__(message)
         self.checkpoint_path = checkpoint_path
+        self.rescue_path = rescue_path
+        self.history = history or []
 
 
 @dataclass
@@ -234,8 +246,8 @@ def train(examples: list[PairExample], cfg: TrainConfig, model_cfg: ModelConfig,
 
     ``on_epoch(epoch, model, history)`` runs after each epoch (for eval
     callbacks); checkpoints are written at epoch boundaries.  On a non-finite
-    loss the last epoch-boundary checkpoint is preserved and
-    ``TrainingDiverged`` is raised.
+    loss the last epoch-boundary checkpoint is preserved, the last finite
+    parameters go to ``model.rescue.ckpt``, and ``TrainingDiverged`` is raised.
     """
     if not examples:
         raise ValueError("training needs at least one pair")
@@ -269,6 +281,9 @@ def train(examples: list[PairExample], cfg: TrainConfig, model_cfg: ModelConfig,
 
     gt_cache: dict = {}
     history: list[dict] = []
+    # newest epoch-aligned checkpoint of this run; a model.ckpt left in
+    # out_dir by an earlier run is not one
+    resumable = Path(resume_from) if resume_from is not None else None
     step = start_epoch * steps_per_epoch
 
     def save(path):
@@ -288,15 +303,14 @@ def train(examples: list[PairExample], cfg: TrainConfig, model_cfg: ModelConfig,
                 loss.backward()
             except NonFiniteError as err:
                 # Params are from the last completed step; persist them unless
-                # they overflowed too, in which case keep the epoch checkpoint.
+                # they overflowed too.  They go beside the epoch checkpoint,
+                # never over it, so that one stays resumable.
                 rescue = None
-                if ckpt_path is not None:
-                    if all(np.isfinite(p.data).all() for p in model.parameters()):
-                        save(ckpt_path)
-                        rescue = ckpt_path
-                    elif ckpt_path.exists():
-                        rescue = ckpt_path
-                raise TrainingDiverged(str(err), rescue) from err
+                if out_path is not None and all(
+                        np.isfinite(p.data).all() for p in model.parameters()):
+                    rescue = out_path / "model.rescue.ckpt"
+                    save(rescue)
+                raise TrainingDiverged(str(err), resumable, rescue, history) from err
             grad_norm = clip_gradients(model.parameters(), cfg.clip_norm)
             lr = lr_at_step(step, cfg)
             optimizer.step(lr)
@@ -306,6 +320,7 @@ def train(examples: list[PairExample], cfg: TrainConfig, model_cfg: ModelConfig,
         if ckpt_path is not None and (
                 cfg.checkpoint_every and (epoch + 1) % cfg.checkpoint_every == 0):
             save(ckpt_path)
+            resumable = ckpt_path
         if on_epoch is not None:
             if on_epoch(epoch, model, history) is True:
                 break  # early stop requested by the callback

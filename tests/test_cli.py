@@ -3,6 +3,7 @@ synthesis, training, evaluation, inference, and exit codes."""
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +226,22 @@ class TestTrain:
                        "--set", "train.clip_norm=0"] + TINY_MODEL)
         assert rc == 3
         assert "diverged" in capsys.readouterr().err
+
+    def test_divergent_run_logs_completed_steps(self, data_dir, tmp_path):
+        out = tmp_path / "boom"
+        with np.errstate(over="ignore"):
+            rc = main(["train", "--data", str(data_dir), "--out", str(out),
+                       "--set", "train.epochs=2", "--set", "train.batch_size=4",
+                       "--set", "train.lr_peak=1e38", "--set", "train.seed=0",
+                       "--set", "train.clip_norm=0"] + TINY_MODEL)
+        assert rc == 3
+        with open(out / "loss_log.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][-1] == "grad_norm"
+        assert len(rows) > 1  # the steps before the non-finite one are kept
+        assert [int(row[0]) for row in rows[1:]] == list(range(1, len(rows)))
+        for row in rows[1:]:
+            assert math.isfinite(float(row[-1])) and float(row[-1]) > 0.0
 
 
 # --------------------------------------------------------------------------

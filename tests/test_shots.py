@@ -4,6 +4,7 @@ table, validation rules, and the on-disk sequence format."""
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from trailergen import shots
 from trailergen.autodiff import ConfigurationError, DomainError, ShapeError
 from trailergen.shots import (INSERT_INDEX, ShotSequence, cosine_similarity,
                               positional_encoding, read_sequence, similarity_matrix,
@@ -120,6 +122,74 @@ def test_similarity_matrix_zero_row_raises():
     movie = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(DomainError):
         similarity_matrix(movie, np.array([[1.0, 1.0]]))
+
+
+# ---------------------------------------------------------------------------
+# cosine kernel: row blocks, exact agreement with the scalar routine
+# ---------------------------------------------------------------------------
+
+def _assert_entries_equal_scalar(movie, trailer):
+    sims = similarity_matrix(movie, trailer)
+    assert sims.shape == (movie.shape[0], trailer.shape[0])
+    for i in range(movie.shape[0]):
+        for j in range(trailer.shape[0]):
+            assert sims[i, j] == cosine_similarity(movie[i], trailer[j]), (i, j)
+
+
+def test_kernel_entries_equal_scalar_calls_across_row_blocks():
+    rng = np.random.default_rng(11)
+    n, m, d = 2049, 3, 1024
+    assert n * m * d * 8 > 4 * shots._BLOCK_BYTES  # several row blocks
+    _assert_entries_equal_scalar(rng.normal(size=(n, d)), rng.normal(size=(m, d)))
+
+
+def test_kernel_entries_equal_scalar_calls_float32():
+    rng = np.random.default_rng(12)
+    movie = rng.normal(size=(150, 64)).astype(np.float32)
+    trailer = rng.normal(size=(20, 64)).astype(np.float32)
+    _assert_entries_equal_scalar(movie, trailer)
+
+
+def test_kernel_zero_row_in_later_block_raises():
+    rng = np.random.default_rng(13)
+    movie = rng.normal(size=(2049, 1024))
+    movie[2000] = 0.0
+    with pytest.raises(DomainError):
+        similarity_matrix(movie, rng.normal(size=(3, 1024)))
+
+
+def test_kernel_zero_trailer_row_raises():
+    movie = np.ones((4, 3))
+    with pytest.raises(DomainError):
+        similarity_matrix(movie, np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]))
+
+
+def test_kernel_peak_temporary_bounded_by_block():
+    rng = np.random.default_rng(14)
+    n, m, d = 1000, 40, 128
+    movie = rng.normal(size=(n, d))
+    trailer = rng.normal(size=(m, d))
+    assert n * m * d * 8 > 4 * shots._BLOCK_BYTES  # unblocked would be far over
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        similarity_matrix(movie, trailer)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # block product + the [n, m] output + at most one norm per input row,
+    # plus numpy's ufunc iterator buffers (one of getbufsize() per operand)
+    buffers = 3 * np.getbufsize() * 8
+    assert peak <= shots._BLOCK_BYTES + n * m * 8 + (n + m) * 8 + buffers
+
+
+@pytest.mark.parametrize("d", [3, 64, 129, 1024])
+def test_scalar_cosine_equals_kernel_one_by_one(d):
+    rng = np.random.default_rng(d)
+    for _ in range(20):
+        u = rng.normal(size=d)
+        v = rng.normal(size=d)
+        assert cosine_similarity(u, v) == similarity_matrix(u[None], v[None])[0, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -581,3 +581,41 @@ class TestDivergence:
         with pytest.raises(TrainingDiverged) as err:
             train(pairs, cfg, SLIM, on_epoch=poison)
         assert err.value.checkpoint_path is None
+
+    def test_mid_epoch_rescue_keeps_epoch_checkpoint_resumable(self, tmp_path):
+        pairs = tiny_pairs(8)
+        cfg = TrainConfig(epochs=3, batch_size=2, lr_peak=1e-4, seed=0,
+                          checkpoint_every=1)
+        poisoned = pairs[int(epoch_order(cfg.seed, 1, len(pairs))[4])]
+
+        def poison(epoch, model, history):
+            if epoch == 0:
+                poisoned.movie.embeddings[...] = 1e30
+            return False
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDiverged) as err:
+                train(pairs, cfg, SLIM, out_dir=tmp_path, on_epoch=poison)
+        # the third batch of epoch 1 holds the poisoned movie: 6 steps done
+        assert [row["step"] for row in err.value.history] == [1, 2, 3, 4, 5, 6]
+        assert err.value.checkpoint_path == tmp_path / "model.ckpt"
+        assert load_checkpoint(err.value.checkpoint_path).step == 4
+        assert err.value.rescue_path == tmp_path / "model.rescue.ckpt"
+        assert load_checkpoint(err.value.rescue_path).step == 6
+
+        resumed = train(tiny_pairs(8), cfg, SLIM, out_dir=tmp_path / "resumed",
+                        resume_from=err.value.checkpoint_path)
+        assert [row["step"] for row in resumed.history] == list(range(5, 13))
+
+    def test_earlier_runs_checkpoint_not_named_resumable(self, tmp_path):
+        cfg = TrainConfig(epochs=2, batch_size=2, lr_peak=1e-4, seed=0)
+        train(tiny_pairs(4), cfg, SLIM, out_dir=tmp_path)
+        pairs = tiny_pairs(4, seed=99)
+        for ex in pairs:
+            ex.movie.embeddings[...] = 1e30
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDiverged) as err:
+                train(pairs, cfg, SLIM, out_dir=tmp_path)
+        # diverged on step 1: this run never wrote an epoch checkpoint
+        assert err.value.history == []
+        assert err.value.checkpoint_path is None
