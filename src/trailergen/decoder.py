@@ -2,7 +2,7 @@
 
 The decoder itself only maps (input prefix, memory) to output embeddings;
 the autoregressive loop, which needs the whole model, lives in
-``model.TrailerModel.generate``.  Matching decoded embeddings back to movie
+``model.TrailerModel.generate_batch``.  Matching decoded embeddings back to movie
 shots and deciding when a decoded embedding means "stop" are plain numpy
 routines over frozen data.
 """

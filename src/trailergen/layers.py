@@ -12,9 +12,24 @@ from . import autodiff as ad
 from .autodiff import Module, Parameter, Tensor
 
 
+# Bytes of float64 draws made at once while filling an initial weight matrix.
+_INIT_CHUNK_BYTES = 1 << 20
+
+
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+    """Glorot-uniform [fan_in, fan_out] weights in the default dtype.
+
+    The float64 draws are made a block of rows at a time and cast into the
+    output, so the values equal one whole ``rng.uniform`` draw cast to the
+    default dtype without that float64 array ever being held.
+    """
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+    out = np.empty((fan_in, fan_out), dtype=ad.default_dtype())
+    step = max(1, _INIT_CHUNK_BYTES // (8 * fan_out))
+    for start in range(0, fan_in, step):
+        block = out[start:start + step]
+        block[...] = rng.uniform(-limit, limit, size=block.shape)
+    return out
 
 
 class Linear(Module):

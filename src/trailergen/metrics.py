@@ -89,6 +89,7 @@ class MetricsReport:
     f1: dict[int, float]
     ld: float
     sld: float
+    empty_rate: float           # share of pairs whose decode kept no shot
     per_pair: list[dict] = field(default_factory=list)
     flags: dict = field(default_factory=dict)
 
@@ -99,12 +100,13 @@ class MetricsReport:
             "f1": {str(k): v for k, v in sorted(self.f1.items())},
             "ld": self.ld,
             "sld": self.sld,
+            "empty_rate": self.empty_rate,
             "per_pair": self.per_pair,
             "flags": self.flags,
         }
 
     def table(self, label: str = "model") -> str:
-        """Aligned rows in the conventional column order."""
+        """Aligned rows in the conventional column order, then the empty-decode rate."""
         header = f"{'':14s}{'Precision':>11s}{'Recall':>11s}{'F1-score':>11s}{'LD':>9s}{'SLD':>9s}"
         lines = [header]
         for k in sorted(self.precision):
@@ -112,6 +114,7 @@ class MetricsReport:
                 f"{label + '@' + str(k):14s}"
                 f"{self.precision[k]:>11.4f}{self.recall[k]:>11.4f}{self.f1[k]:>11.4f}"
                 f"{self.ld:>9.2f}{self.sld:>9.2f}")
+        lines.append(f"{label + ' empty':14s}{self.empty_rate:>11.4f}")
         return "\n".join(lines)
 
 
@@ -125,7 +128,6 @@ def score_pairs(records: list[dict], k_list=(1, 5, 10)) -> MetricsReport:
         raise ValueError("no pairs to score")
     k_list = sorted(set(int(k) for k in k_list))
     per_pair = []
-    any_empty = False
     for rec in records:
         predicted, gt = rec["predicted"], rec["gt"]
         topk = rec.get("topk")
@@ -137,7 +139,6 @@ def score_pairs(records: list[dict], k_list=(1, 5, 10)) -> MetricsReport:
             "sld": sld(predicted, gt),
             "empty_predicted": not predicted,
         }
-        any_empty |= entry["empty_predicted"]
         for k in k_list:
             p, r, f1 = precision_recall_f1(predicted, gt, k=k, topk_lists=topk)
             entry[f"precision@{k}"] = p
@@ -154,8 +155,9 @@ def score_pairs(records: list[dict], k_list=(1, 5, 10)) -> MetricsReport:
         f1={k: mean(f"f1@{k}") for k in k_list},
         ld=mean("ld"),
         sld=mean("sld"),
+        empty_rate=mean("empty_predicted"),
         per_pair=per_pair,
-        flags={"any_empty_prediction": any_empty},
+        flags={"any_empty_prediction": any(e["empty_predicted"] for e in per_pair)},
     )
 
 

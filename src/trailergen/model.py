@@ -4,8 +4,10 @@
 encoder, context encoder, decoder stack, optional condition components) and
 provides both call styles:
 
-* unbatched 2-D paths used by inference and by the op-level contract tests;
-* batched 3-D paths with padding masks used by the training loop.
+* unbatched 2-D paths used by the encoder side of inference and by the
+  op-level contract tests;
+* batched 3-D paths with padding masks used by the training loop and by the
+  greedy decode loop, where a single movie is a batch of one.
 
 Submodules draw their init values from per-component seed streams, so e.g. a
 conditioned and an unconditioned model built from the same seed share
@@ -26,6 +28,11 @@ from .decoder import DecodedTrailer, DecoderStack, detect_eos, match_nearest, ma
 from .encoder import ContextEncoder, TrailernessEncoder, fuse_trailerness
 from .layers import EncoderLayer, Linear
 from .shots import ShotSequence, positional_encoding
+
+
+# Upper bound on one decode group's zero-padded memory [B, L, d]: consecutive
+# movies share a decoder pass while their padded memory stays under it.
+_GROUP_BYTES = 4 << 20
 
 
 @dataclass
@@ -223,59 +230,118 @@ class TrailerModel(Module):
 
     def generate(self, movie, condition=None, max_len: int = 32,
                  topk: int = 1) -> DecodedTrailer:
-        """Autoregressive decode: grow the prefix until EOS or the step cap.
+        """Greedy decode of one movie: a batch of one through ``generate_batch``."""
+        return self.generate_batch([movie], [condition], max_len=max_len, topk=topk)[0]
 
+    def generate_batch(self, movies: list, conditions: list | None = None,
+                       max_len: int = 32, topk: int = 1) -> list[DecodedTrailer]:
+        """Autoregressive decode of many movies: grow each prefix until EOS or the step cap.
+
+        Each movie is encoded and conditioned on its own, so its memory is
+        the one a single decode builds.  Consecutive memories are zero-padded
+        into one [B, L, d] batch while that stays under ``_GROUP_BYTES``, and
+        each step runs one decoder pass over every sequence still decoding.
         Each decoded embedding is matched to movie shots immediately; the
-        matched index feeds back instead of the raw prediction when the model
+        matched shot feeds back instead of the raw prediction when the model
         is configured for retrieval feedback.
         """
         if max_len < 1:
             raise ValueError("max_len must be >= 1")
-        movie_arr = _as_embedding_array(movie)
-        cfg = self.cfg
-        n = movie_arr.shape[0]
-        k = min(max(1, topk), n)
+        arrays = [_as_embedding_array(m) for m in movies]
+        if not arrays:
+            raise ValueError("generate_batch needs at least one movie")
+        if conditions is None:
+            conditions = [None] * len(arrays)
+        elif len(conditions) != len(arrays):
+            raise ShapeError(f"{len(conditions)} conditions for {len(arrays)} movies")
+        decoded, group, rows = [], [], 0
         with ad.no_grad():
-            enc = self.encode_single(movie_arr)
-            memory, _ = self.attach_condition(enc, condition)
-            rows = [ad.reshape(self.sos, (1, cfg.d_model))]
-            kept, all_preds, matched = [], [], []
-            topk_idx, topk_sims = [], []
-            chosen: set[int] = set()
-            terminated = "max_len"
-            while True:
-                x = rows[0] if len(rows) == 1 else ad.concat(rows, axis=0)
-                t = x.shape[0]
-                x = ad.add(x, self.positional_rows(t))
-                out = self.decoder(x, memory, ad.causal_mask(t), None)
-                pred = np.array(out.data[-1])
-                all_preds.append(pred)
-                if detect_eos(pred, self.eos.data, movie_arr,
-                              rule=cfg.eos_rule, threshold=cfg.eos_threshold):
-                    terminated = "eos"
-                    break
-                exclude = chosen if cfg.no_repeat else None
-                pool = n - len(chosen) if cfg.no_repeat else n
-                if pool < 1:
-                    break  # no-repeat pool exhausted; treated as hitting the cap
-                ranked = match_nearest(pred, movie_arr, k=min(k, pool), exclude=exclude)
-                sims = match_similarities(pred, movie_arr, ranked)
-                matched.append(ranked[0])
-                topk_idx.append(ranked)
-                topk_sims.append(sims)
-                if cfg.no_repeat:
-                    chosen.add(ranked[0])
-                kept.append(pred)
-                if len(kept) >= max_len:
-                    break
-                feedback = movie_arr[ranked[0] - 1] if cfg.feedback == "retrieved" else pred
-                rows.append(Tensor(np.asarray(feedback)[None, :]))
-        embeddings = np.stack(kept) if kept else np.zeros((0, cfg.d_model))
+            for movie, condition in zip(arrays, conditions):
+                memory, _ = self.attach_condition(self.encode_single(movie), condition)
+                rows = max(rows, memory.shape[0])
+                padded = (len(group) + 1) * rows * memory.shape[1] * memory.data.itemsize
+                if group and padded > _GROUP_BYTES:
+                    decoded += self._decode_group(group, max_len, topk)
+                    group, rows = [], memory.shape[0]
+                group.append((movie, memory))
+            decoded += self._decode_group(group, max_len, topk)
+        return decoded
+
+    def _decode_group(self, group: list, max_len: int, topk: int) -> list[DecodedTrailer]:
+        """Decode (movie, memory) pairs together; a finished sequence leaves the batch."""
+        cfg = self.cfg
+        lengths = np.array([memory.shape[0] for _, memory in group])
+        memories = np.zeros((len(group), lengths.max(), cfg.d_model), dtype=group[0][1].dtype)
+        for row, (_, memory) in zip(memories, group):
+            row[:memory.shape[0]] = memory.data
+        prefix = np.empty((len(group), max_len, cfg.d_model),
+                          dtype=np.result_type(self.sos.dtype, ad.default_dtype()))
+        prefix[:, 0] = self.sos.data
+        states = [_GreedyState(movie, topk, cfg, self.eos.data, max_len) for movie, _ in group]
+        active, memory = np.arange(len(group)), None
+        t = 1
+        while active.size:
+            if memory is None or memory.shape[0] != active.size:
+                width = int(lengths[active].max())
+                memory = Tensor(memories[active, :width], dtype=memories.dtype)
+                cross_mask = None
+                if np.any(lengths[active] < width):
+                    cross_mask = ad.padding_mask(lengths[active], width)[:, None, None, :]
+            x = ad.add(Tensor(prefix[active, :t], dtype=prefix.dtype), self.positional_rows(t))
+            out = self.decoder(x, memory, ad.causal_mask(t), cross_mask)
+            still = []
+            for row, i in enumerate(active):
+                feedback = states[i].step(np.array(out.data[row, -1]))
+                if feedback is not None:
+                    prefix[i, t] = feedback
+                    still.append(i)
+            active = np.array(still, dtype=np.int64)
+            t += 1
+        return [state.result() for state in states]
+
+
+class _GreedyState:
+    """One sequence's greedy decode: EOS test, no-repeat pool, top-k matches."""
+
+    def __init__(self, movie: np.ndarray, topk: int, cfg: ModelConfig, eos: np.ndarray,
+                 max_len: int):
+        self.movie, self.cfg, self.eos, self.max_len = movie, cfg, eos, max_len
+        self.k = min(max(1, topk), movie.shape[0])
+        self.kept, self.all_preds, self.matched = [], [], []
+        self.topk_idx, self.topk_sims = [], []
+        self.chosen: set[int] = set()
+        self.terminated = "max_len"
+
+    def step(self, pred: np.ndarray) -> np.ndarray | None:
+        """Take one decoded embedding; return the row to feed back, or None when done."""
+        cfg = self.cfg
+        self.all_preds.append(pred)
+        if detect_eos(pred, self.eos, self.movie, rule=cfg.eos_rule,
+                      threshold=cfg.eos_threshold):
+            self.terminated = "eos"
+            return None
+        n = self.movie.shape[0]
+        pool = n - len(self.chosen) if cfg.no_repeat else n
+        if pool < 1:
+            return None  # no-repeat pool exhausted; treated as hitting the cap
+        ranked = match_nearest(pred, self.movie, k=min(self.k, pool),
+                               exclude=self.chosen if cfg.no_repeat else None)
+        self.matched.append(ranked[0])
+        self.topk_idx.append(ranked)
+        self.topk_sims.append(match_similarities(pred, self.movie, ranked))
+        if cfg.no_repeat:
+            self.chosen.add(ranked[0])
+        self.kept.append(pred)
+        if len(self.kept) >= self.max_len:
+            return None
+        return self.movie[ranked[0] - 1] if cfg.feedback == "retrieved" else pred
+
+    def result(self) -> DecodedTrailer:
         return DecodedTrailer(
-            embeddings=embeddings,
-            matched_indices=matched,
-            terminated_by=terminated,
-            topk_indices=topk_idx,
-            topk_similarities=topk_sims,
-            all_predictions=np.stack(all_preds) if all_preds else None,
+            embeddings=np.stack(self.kept) if self.kept else np.zeros((0, self.cfg.d_model)),
+            matched_indices=self.matched,
+            terminated_by=self.terminated,
+            topk_indices=self.topk_idx,
+            topk_similarities=self.topk_sims,
+            all_predictions=np.stack(self.all_preds),
         )

@@ -9,7 +9,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from trailergen import autodiff as ad
+from trailergen.autodiff import Tensor
+from trailergen.decoder import DecodedTrailer, detect_eos, match_nearest, match_similarities
 
 
 def levenshtein_recursive(a, b) -> int:
@@ -134,3 +138,60 @@ def reference_attention(q, k, v, num_heads, mask=None):
     scores = ad.mul(ad.matmul(qh, kt), 1.0 / math.sqrt(dk))
     weights = ad.softmax(scores, axis=-1, mask=mask)
     return ad.reshape(ad.transpose(ad.matmul(weights, vh), swap_lh), (*lead, lq, d))
+
+
+def reference_generate(model, movie, condition=None, max_len: int = 32,
+                       topk: int = 1) -> DecodedTrailer:
+    """Greedy decode of one movie, one step at a time: re-run the decoder over
+    the whole [t, d] prefix, stop on EOS, an exhausted no-repeat pool or the
+    cap, and feed back the raw prediction or the matched shot."""
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
+    movie_arr = np.asarray(movie)
+    cfg = model.cfg
+    n = movie_arr.shape[0]
+    k = min(max(1, topk), n)
+    with ad.no_grad():
+        enc = model.encode_single(movie_arr)
+        memory, _ = model.attach_condition(enc, condition)
+        rows = [ad.reshape(model.sos, (1, cfg.d_model))]
+        kept, all_preds, matched = [], [], []
+        topk_idx, topk_sims = [], []
+        chosen: set[int] = set()
+        terminated = "max_len"
+        while True:
+            x = rows[0] if len(rows) == 1 else ad.concat(rows, axis=0)
+            t = x.shape[0]
+            x = ad.add(x, model.positional_rows(t))
+            out = model.decoder(x, memory, ad.causal_mask(t), None)
+            pred = np.array(out.data[-1])
+            all_preds.append(pred)
+            if detect_eos(pred, model.eos.data, movie_arr,
+                          rule=cfg.eos_rule, threshold=cfg.eos_threshold):
+                terminated = "eos"
+                break
+            exclude = chosen if cfg.no_repeat else None
+            pool = n - len(chosen) if cfg.no_repeat else n
+            if pool < 1:
+                break
+            ranked = match_nearest(pred, movie_arr, k=min(k, pool), exclude=exclude)
+            sims = match_similarities(pred, movie_arr, ranked)
+            matched.append(ranked[0])
+            topk_idx.append(ranked)
+            topk_sims.append(sims)
+            if cfg.no_repeat:
+                chosen.add(ranked[0])
+            kept.append(pred)
+            if len(kept) >= max_len:
+                break
+            feedback = movie_arr[ranked[0] - 1] if cfg.feedback == "retrieved" else pred
+            rows.append(Tensor(np.asarray(feedback)[None, :]))
+    embeddings = np.stack(kept) if kept else np.zeros((0, cfg.d_model))
+    return DecodedTrailer(
+        embeddings=embeddings,
+        matched_indices=matched,
+        terminated_by=terminated,
+        topk_indices=topk_idx,
+        topk_similarities=topk_sims,
+        all_predictions=np.stack(all_preds),
+    )

@@ -28,6 +28,8 @@ from trailergen.synthetic import (GeneratorConfig, PairExample,
                                   condition_for_pair, generate_pair)
 from trailergen.training import TrainConfig, suggested_decode_cap, train
 
+pytestmark = pytest.mark.slow
+
 
 def announce(criterion: int, verdict: str, detail: str) -> None:
     line = f"[criterion {criterion:2d}] {verdict:7s} {detail}"

@@ -12,7 +12,8 @@ import pytest
 from trailergen.cli import (InputError, _parse_value, load_config, main,
                             parse_config_text)
 from trailergen.shots import ShotSequence, read_sequence, write_sequence
-from trailergen.training import load_checkpoint
+from trailergen.synthetic import load_dataset
+from trailergen.training import load_checkpoint, restore_model_and_optimizer
 
 TINY_MODEL = ["--set", "model.d_model=16", "--set", "model.num_heads=2",
               "--set", "model.ff_dim=32", "--set", "model.trailerness_layers=1",
@@ -268,6 +269,40 @@ class TestEval:
         assert "model@1" in table
         assert "random@1" in table
         assert "model@1" in capsys.readouterr().out
+
+    def test_split_decoded_in_one_batch_matches_per_pair_generate(
+            self, run_dir, data_dir, tmp_path):
+        # the train split holds movies of 10-14 shots, so the batch is padded
+        out = tmp_path / "eval"
+        rc = main(["eval", "--checkpoint", str(run_dir / "model.ckpt"),
+                   "--data", str(data_dir), "--split", "train", "--k", "1",
+                   "--out", str(out), "--baseline-trials", "10"])
+        assert rc == 0
+        payload = json.loads((out / "eval_train.json").read_text())
+        model, _ = restore_model_and_optimizer(load_checkpoint(run_dir / "model.ckpt"))
+        examples, _ = load_dataset(data_dir, "train")
+        assert len({len(ex.movie) for ex in examples}) > 1
+        max_len = payload["max_len"]
+        for entry, ex in zip(payload["model"]["per_pair"], examples):
+            decoded = model.generate(ex.movie.embeddings, max_len=max_len)
+            assert entry["id"] == ex.pair_id
+            assert entry["predicted"] == decoded.matched_indices
+        assert payload["model"]["empty_rate"] == 0.0
+        assert "model empty" in (out / "eval_train.txt").read_text()
+
+    def test_phase_timings_in_manifest_not_in_report(self, run_dir, data_dir, tmp_path):
+        out = tmp_path / "eval"
+        rc = main(["eval", "--checkpoint", str(run_dir / "model.ckpt"),
+                   "--data", str(data_dir), "--split", "test", "--k", "1",
+                   "--out", str(out), "--baseline-trials", "10"])
+        assert rc == 0
+        timings = json.loads((out / "run_manifest.json").read_text())["timings"]
+        for phase in ("load_s", "decode_s", "score_s", "write_s"):
+            assert 0.0 <= timings[phase] <= timings["wall_seconds"]
+        assert timings["decoded_shots"] >= 1
+        assert timings["decoded_shots_per_s"] > 0.0
+        text = (out / "eval_test.json").read_text()
+        assert "timings" not in text and "_s\"" not in text and "seconds" not in text
 
     def test_gt_alignment_flag_present(self, run_dir, data_dir, tmp_path):
         out = tmp_path / "eval"

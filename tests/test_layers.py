@@ -1,0 +1,39 @@
+"""Initial weights of the linear layers: values and the memory used to draw them."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from trailergen import autodiff as ad
+from trailergen import layers
+from trailergen.layers import Linear, xavier_uniform
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_xavier_uniform_equals_one_whole_draw(dtype):
+    fan_in, fan_out = 500, 700  # several row chunks and a partial last one
+    assert fan_in * fan_out * 8 > 2 * layers._INIT_CHUNK_BYTES
+    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    whole = np.random.default_rng(5).uniform(-limit, limit, size=(fan_in, fan_out))
+    with ad.precision(dtype):
+        chunked = xavier_uniform(np.random.default_rng(5), fan_in, fan_out)
+        lin = Linear(fan_in, fan_out, np.random.default_rng(5))
+    assert chunked.dtype == dtype and lin.weight.dtype == dtype
+    np.testing.assert_array_equal(chunked, whole.astype(dtype))
+    np.testing.assert_array_equal(lin.weight.data, whole.astype(dtype))
+
+
+def test_linear_init_peak_is_weight_plus_one_chunk():
+    rng = np.random.default_rng(6)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        lin = Linear(1024, 2048, rng)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the float32 weight and bias, one float64 chunk of draws, and numpy's
+    # casting buffer; a whole float64 draw would add 16 MiB
+    weight = lin.weight.data.nbytes + lin.bias.data.nbytes
+    assert peak <= weight + layers._INIT_CHUNK_BYTES + np.getbufsize() * 8

@@ -217,6 +217,19 @@ def test_score_pairs_flags_empty_predictions():
     assert rep.f1[1] == 0.0
 
 
+def test_score_pairs_empty_rate_is_share_of_empty_decodes():
+    records = [{"id": "a", "predicted": [], "gt": [1]},
+               {"id": "b", "predicted": [2], "gt": [2]},
+               {"id": "c", "predicted": [], "gt": [3]},
+               {"id": "d", "predicted": [1, 4], "gt": [4]}]
+    rep = score_pairs(records, k_list=(1,))
+    assert rep.empty_rate == 0.5
+    assert rep.to_json_dict()["empty_rate"] == 0.5
+    assert rep.table("model").splitlines()[-1].split() == ["model", "empty", "0.5000"]
+    full = score_pairs(records[1:2], k_list=(1,))
+    assert full.empty_rate == 0.0 and not full.flags["any_empty_prediction"]
+
+
 def test_score_pairs_k_list_deduplicated_and_sorted():
     records = [{"id": "a", "predicted": [1], "gt": [1]}]
     rep = score_pairs(records, k_list=(5, 1, 5))

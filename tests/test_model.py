@@ -1,14 +1,17 @@
 """Full-model behavior: framing, encoding shapes, the autoregressive loop,
-and its consistency with the teacher-forced path."""
+its batched form, and its consistency with the teacher-forced path."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
+import oracles
 from trailergen import autodiff as ad
+from trailergen import model as model_module
 from trailergen.autodiff import ConfigurationError, ShapeError, Tensor
 from trailergen.config import ModelConfig, preset, with_overrides
+from trailergen.decoder import DecoderStack
 from trailergen.model import TrailerModel
 from trailergen.shots import ShotSequence
 
@@ -273,3 +276,105 @@ def test_batched_teacher_forcing_matches_unbatched():
         np.testing.assert_allclose(preds.data[b, :rows], singles[b], atol=1e-9)
         np.testing.assert_allclose(targets.data[b, :t.shape[0]], t, atol=1e-12)
         np.testing.assert_array_equal(targets.data[b, t.shape[0]], model.eos.data)
+
+
+# ---------------------------------------------------------------------------
+# the batched loop against the one-movie reference loop
+# ---------------------------------------------------------------------------
+
+def _assert_same_decode(got, ref, atol=None):
+    assert got.matched_indices == ref.matched_indices
+    assert got.terminated_by == ref.terminated_by
+    assert got.topk_indices == ref.topk_indices
+    if atol is None:
+        np.testing.assert_array_equal(got.all_predictions, ref.all_predictions)
+        np.testing.assert_array_equal(got.embeddings, ref.embeddings)
+        assert got.topk_similarities == ref.topk_similarities
+    else:
+        np.testing.assert_allclose(got.all_predictions, ref.all_predictions, rtol=0, atol=atol)
+        np.testing.assert_allclose(got.embeddings, ref.embeddings, rtol=0, atol=atol)
+        for a, b in zip(got.topk_similarities, ref.topk_similarities):
+            np.testing.assert_allclose(a, b, rtol=0, atol=atol)
+
+
+def test_generate_batch_mixed_lengths_match_reference_float64():
+    # movies of 4-12 shots with conditions of 0-3 rows pad the memories to
+    # different lengths; margin EOS, no-repeat and retrieved feedback each
+    # end or steer some sequences while the others keep decoding
+    max_len = 8
+    with ad.precision(np.float64):
+        cfg = small_cfg(d_model=16, ff_dim=32, decoder_layers=2, condition_mode="encoded",
+                        feedback="retrieved", no_repeat=True)
+        model = TrailerModel(cfg, seed=2)
+        rng = np.random.default_rng(8)
+        movies = [rng.normal(size=(n, 16)) for n in rng.integers(4, 13, size=10)]
+        conditions = [rng.normal(size=(c, 16)) for c in rng.integers(0, 4, size=10)]
+        got = model.generate_batch(movies, conditions, max_len=max_len, topk=3)
+        refs = [oracles.reference_generate(model, m, c, max_len=max_len, topk=3)
+                for m, c in zip(movies, conditions)]
+    assert len({m.shape[0] + c.shape[0] for m, c in zip(movies, conditions)}) > 1
+    kept = [len(r.matched_indices) for r in refs]
+    eos_steps = {k for k, r in zip(kept, refs) if r.terminated_by == "eos"}
+    assert len(eos_steps) >= 2                       # EOS fires at different steps
+    assert max_len in kept                           # some hit the cap
+    assert any(r.terminated_by == "max_len" and k == m.shape[0] < max_len
+               for k, r, m in zip(kept, refs, movies))  # a no-repeat pool runs out
+    for g, r in zip(got, refs):
+        _assert_same_decode(g, r, atol=1e-12)
+
+
+def test_generate_batch_equal_lengths_bitwise_float32():
+    cfg = small_cfg(eos_rule="threshold", eos_threshold=1.1)
+    model = TrailerModel(cfg, seed=31)
+    movies = [_movie(7, seed=40 + i) for i in range(5)]
+    got = model.generate_batch(movies, max_len=6, topk=3)
+    for g, m in zip(got, movies):
+        assert g.all_predictions.dtype == np.float32
+        _assert_same_decode(g, oracles.reference_generate(model, m, max_len=6, topk=3))
+
+
+def test_generate_is_a_batch_of_one_bitwise_float32():
+    model = TrailerModel(small_cfg(), seed=32)
+    movie = _movie(9, seed=33)
+    ref = oracles.reference_generate(model, movie, max_len=12, topk=2)
+    _assert_same_decode(model.generate(movie, max_len=12, topk=2), ref)
+    _assert_same_decode(model.generate_batch([movie], max_len=12, topk=2)[0], ref)
+
+
+def test_generate_batch_rejects_bad_input():
+    model = TrailerModel(small_cfg(condition_mode="encoded"), seed=34)
+    with pytest.raises(ValueError):
+        model.generate_batch([])
+    with pytest.raises(ShapeError):
+        model.generate_batch([_movie(4), _movie(5)], conditions=[_movie(2)])
+    with pytest.raises(ShapeError):
+        model.generate_batch([_movie(4), _movie(5, d=6)])
+    with pytest.raises(ValueError):
+        model.generate_batch([_movie(4)], max_len=0)
+
+
+def test_generate_batch_groups_stay_within_byte_budget(monkeypatch):
+    # the real budget holds a 30-pair desk eval split (152 framed rows) in one group
+    assert 30 * 152 * 64 * 4 <= model_module._GROUP_BYTES
+    rng = np.random.default_rng(36)
+    movies = [_movie(int(n), seed=100 + i) for i, n in enumerate(rng.integers(3, 15, size=200))]
+    budget = 12 * 16 * 8 * 8  # about a dozen padded float64 memories per group
+    monkeypatch.setattr(model_module, "_GROUP_BYTES", budget)
+    memory_bytes, batch_sizes = [], []
+    original = DecoderStack.__call__
+
+    def recording(self, x, memory, *masks):
+        memory_bytes.append(memory.data.nbytes)
+        batch_sizes.append(memory.shape[0])
+        return original(self, x, memory, *masks)
+
+    with ad.precision(np.float64):
+        model = TrailerModel(small_cfg(eos_rule="threshold", eos_threshold=1.1), seed=35)
+        monkeypatch.setattr(DecoderStack, "__call__", recording)
+        got = model.generate_batch(movies, max_len=3)
+        monkeypatch.setattr(DecoderStack, "__call__", original)
+        refs = [oracles.reference_generate(model, m, max_len=3) for m in movies]
+    assert max(memory_bytes) <= budget
+    assert batch_sizes.count(max(batch_sizes)) > 1 and max(batch_sizes) > 1
+    for g, r in zip(got, refs):
+        _assert_same_decode(g, r, atol=1e-12)
