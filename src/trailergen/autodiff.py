@@ -41,6 +41,7 @@ __all__ = [
     "set_default_dtype",
     "precision",
     "no_grad",
+    "grad_enabled",
     "set_finite_checks",
     "add",
     "sub",
@@ -131,6 +132,11 @@ def no_grad():
         yield
     finally:
         _grad_enabled = old
+
+
+def grad_enabled() -> bool:
+    """Whether new ops record a graph (False inside ``no_grad``)."""
+    return _grad_enabled
 
 
 def set_finite_checks(enabled: bool) -> bool:

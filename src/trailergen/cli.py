@@ -225,6 +225,7 @@ def cmd_train(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    loaded = time.perf_counter()
     try:
         result = train(examples, train_cfg, model_cfg, out_dir=out,
                        resume_from=args.resume, data_fingerprint=fingerprint)
@@ -236,15 +237,21 @@ def cmd_train(args) -> int:
         print(f"training diverged: {err}{where}", file=sys.stderr)
         return EXIT_NUMERIC
 
+    trained = time.perf_counter()
     csv_path = out / "loss_log.csv"
     _loss_csv(csv_path, result.history)
+    written = time.perf_counter()
     outputs = [str(result.checkpoint_path), str(csv_path)]
     input_hashes = {"dataset": fingerprint}
     if args.config:
         input_hashes["config"] = _hash_file(args.config)
+    steps = len(result.history)
+    timings = {"load_s": round(loaded - started, 4), "train_s": round(trained - loaded, 4),
+               "write_s": round(written - trained, 4), "steps": steps,
+               "steps_per_s": round(steps / (trained - loaded), 2)}
     write_run_manifest(out, "train",
                        {"model": model_cfg.to_dict(), "train": result.config.to_dict()},
-                       train_cfg.seed, input_hashes, outputs, started)
+                       train_cfg.seed, input_hashes, outputs, started, timings)
     final = result.history[-1]["total"] if result.history else float("nan")
     print(f"trained {result.config.total_steps} steps; final total loss {final:.6f}; "
           f"checkpoint at {result.checkpoint_path}")
@@ -347,8 +354,11 @@ def cmd_infer(args) -> int:
                              "--condition is not usable")
 
     max_len = args.max_len or int(extras.get("suggested_max_len", 32))
+    loaded = time.perf_counter()
     decoded = model.generate(movie.embeddings, condition=condition,
                              max_len=max_len, topk=args.topk)
+    decode_s = time.perf_counter() - loaded
+    shots = len(decoded.matched_indices)
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -382,8 +392,10 @@ def cmd_infer(args) -> int:
                        {"topk": args.topk, "max_len": max_len},
                        0, {"checkpoint": _hash_file(ckpt),
                            "movie": _hash_file(args.movie)},
-                       [p for p in (seq_path, str(sidecar_path)) if p], started)
-    print(f"decoded {len(decoded.matched_indices)} shots "
+                       [p for p in (seq_path, str(sidecar_path)) if p], started,
+                       {"decode_s": round(decode_s, 4),
+                        "decoded_shots_per_s": round(shots / decode_s, 1)})
+    print(f"decoded {shots} shots "
           f"(terminated by {decoded.terminated_by}); indices {decoded.matched_indices}")
     return EXIT_OK
 

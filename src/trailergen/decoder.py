@@ -1,7 +1,8 @@
 """Trailer decoder stack plus retrieval and stopping rules.
 
-The decoder itself only maps (input prefix, memory) to output embeddings;
-the autoregressive loop, which needs the whole model, lives in
+The decoder itself only maps (input rows, memory) to output embeddings,
+either a whole causal prefix or, with a ``SelfAttentionCache``, one new row
+per sequence; the autoregressive loop, which needs the whole model, lives in
 ``model.TrailerModel.generate_batch``.  Matching decoded embeddings back to movie
 shots and deciding when a decoded embedding means "stop" are plain numpy
 routines over frozen data.
@@ -9,14 +10,52 @@ routines over frozen data.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import DomainError, Module, Tensor
+from .autodiff import ConfigurationError, DomainError, Module, ShapeError, Tensor, grad_enabled
 from .config import ModelConfig
 from .layers import DecoderLayer
 from .shots import ShotSequence, cosine_similarity
+
+
+class SelfAttentionCache:
+    """Self-attention keys and values of the rows decoded so far, one buffer pair per layer.
+
+    Row t of layer i's [B, capacity, d] buffers holds the K and V that
+    layer's self-attention projected for decoded row t; ``length`` rows are
+    filled.  With ``pre_norm`` these are projections of the normed layer
+    input, since that is what ``self_attn`` sees.  A buffer is allocated at
+    its layer's first write, in the dtype of the projections.  The buffers
+    are plain arrays, so no gradient flows through them.
+    """
+
+    def __init__(self, layers: int, capacity: int):
+        self.capacity = capacity
+        self.keys: list[np.ndarray | None] = [None] * layers
+        self.values: list[np.ndarray | None] = [None] * layers
+        self.length = 0
+
+    def extend(self, layer: int, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Write one new [B, 1, d] row at ``length``; return rows 0..length of K and V."""
+        t = self.length
+        if t >= self.capacity:
+            raise ConfigurationError(f"decode cache holds {self.capacity} rows")
+        if self.keys[layer] is None:
+            shape = (k.shape[0], self.capacity, k.shape[-1])
+            self.keys[layer] = np.empty(shape, dtype=k.dtype)
+            self.values[layer] = np.empty(shape, dtype=v.dtype)
+        keys, values = self.keys[layer], self.values[layer]
+        keys[:, t] = k[:, 0]
+        values[:, t] = v[:, 0]
+        return keys[:, :t + 1], values[:, :t + 1]
+
+    def keep(self, rows) -> None:
+        """Keep only the sequences at ``rows`` of the current batch, in that order."""
+        self.keys = [k if k is None else k[rows] for k in self.keys]
+        self.values = [v if v is None else v[rows] for v in self.values]
 
 
 class DecoderStack(Module):
@@ -29,10 +68,27 @@ class DecoderStack(Module):
 
     def __call__(self, x: Tensor, memory: Tensor,
                  self_mask: np.ndarray | None = None,
-                 cross_mask: np.ndarray | None = None) -> Tensor:
+                 cross_mask: np.ndarray | None = None,
+                 cache: SelfAttentionCache | None = None) -> Tensor:
+        """Run every layer over ``x`` [..., L, d] attending to ``memory``.
+
+        With a ``cache``, ``x`` is [B, 1, d]: the next row of each sequence.
+        Its self-attention keys and values are written to the cache, and the
+        row attends over every cached row of its sequence, so no
+        ``self_mask`` is needed.
+        """
+        if cache is not None:
+            if grad_enabled():
+                raise ConfigurationError("a decode cache needs no_grad(): "
+                                         "no gradient flows through its buffers")
+            if x.ndim != 3 or x.shape[1] != 1:
+                raise ShapeError(f"a cached decoder step takes [B, 1, d] rows, got {x.shape}")
         h = x
-        for layer in self.layers:
-            h = layer(h, memory, self_mask, cross_mask)
+        for i, layer in enumerate(self.layers):
+            kv = None if cache is None else functools.partial(cache.extend, i)
+            h = layer(h, memory, self_mask, cross_mask, kv)
+        if cache is not None:
+            cache.length += 1
         return h
 
 

@@ -74,9 +74,14 @@ class MultiHeadAttention(Module):
         self.num_heads = num_heads
 
     def __call__(self, query: Tensor, key: Tensor, value: Tensor,
-                 mask: np.ndarray | None = None) -> Tensor:
-        attended = ad.multi_head_attention(
-            self.wq(query), self.wk(key), self.wv(value), self.num_heads, mask=mask)
+                 mask: np.ndarray | None = None, kv=None) -> Tensor:
+        """``kv`` (incremental decoding) takes the projected key and value
+        arrays of the new rows and returns those of every row to attend over."""
+        q, k, v = self.wq(query), self.wk(key), self.wv(value)
+        if kv is not None:
+            keys, values = kv(k.data, v.data)
+            k, v = Tensor(keys, dtype=keys.dtype), Tensor(values, dtype=values.dtype)
+        attended = ad.multi_head_attention(q, k, v, self.num_heads, mask=mask)
         return self.wo(attended)
 
 
@@ -119,12 +124,13 @@ class DecoderLayer(Module):
 
     def __call__(self, x: Tensor, memory: Tensor,
                  self_mask: np.ndarray | None = None,
-                 cross_mask: np.ndarray | None = None) -> Tensor:
+                 cross_mask: np.ndarray | None = None, kv=None) -> Tensor:
+        """``kv`` is the self-attention's cache hook (see ``MultiHeadAttention``)."""
         if self.pre_norm:
             nx = self.norm1(x)
-            h = ad.add(x, self.self_attn(nx, nx, nx, self_mask))
+            h = ad.add(x, self.self_attn(nx, nx, nx, self_mask, kv))
             h2 = ad.add(h, self.cross_attn(self.norm2(h), memory, memory, cross_mask))
             return ad.add(h2, self.ff(self.norm3(h2)))
-        h = self.norm1(ad.add(x, self.self_attn(x, x, x, self_mask)))
+        h = self.norm1(ad.add(x, self.self_attn(x, x, x, self_mask, kv)))
         h2 = self.norm2(ad.add(h, self.cross_attn(h, memory, memory, cross_mask)))
         return self.norm3(ad.add(h2, self.ff(h2)))

@@ -24,7 +24,8 @@ from . import autodiff as ad
 from .autodiff import ConfigurationError, Module, Parameter, ShapeError, Tensor
 from .conditioning import augment_context
 from .config import ModelConfig
-from .decoder import DecodedTrailer, DecoderStack, detect_eos, match_nearest, match_similarities
+from .decoder import (DecodedTrailer, DecoderStack, SelfAttentionCache, detect_eos,
+                      match_nearest, match_similarities)
 from .encoder import ContextEncoder, TrailernessEncoder, fuse_trailerness
 from .layers import EncoderLayer, Linear
 from .shots import ShotSequence, positional_encoding
@@ -240,7 +241,8 @@ class TrailerModel(Module):
         Each movie is encoded and conditioned on its own, so its memory is
         the one a single decode builds.  Consecutive memories are zero-padded
         into one [B, L, d] batch while that stays under ``_GROUP_BYTES``, and
-        each step runs one decoder pass over every sequence still decoding.
+        each step runs one cached decoder pass over the next row of every
+        sequence still decoding.
         Each decoded embedding is matched to movie shots immediately; the
         matched shot feeds back instead of the raw prediction when the model
         is configured for retrieval feedback.
@@ -268,15 +270,23 @@ class TrailerModel(Module):
         return decoded
 
     def _decode_group(self, group: list, max_len: int, topk: int) -> list[DecodedTrailer]:
-        """Decode (movie, memory) pairs together; a finished sequence leaves the batch."""
+        """Decode (movie, memory) pairs together; a finished sequence leaves the batch.
+
+        Step t feeds one row per active sequence (SOS, then the fed-back row,
+        plus positional row t-1); the self-attention keys and values of the
+        earlier rows come from a ``SelfAttentionCache``.  Cross-attention
+        projects the memory again at every step.
+        """
         cfg = self.cfg
         lengths = np.array([memory.shape[0] for _, memory in group])
         memories = np.zeros((len(group), lengths.max(), cfg.d_model), dtype=group[0][1].dtype)
         for row, (_, memory) in zip(memories, group):
             row[:memory.shape[0]] = memory.data
-        prefix = np.empty((len(group), max_len, cfg.d_model),
-                          dtype=np.result_type(self.sos.dtype, ad.default_dtype()))
-        prefix[:, 0] = self.sos.data
+        feed = np.empty((len(group), cfg.d_model),
+                        dtype=np.result_type(self.sos.dtype, ad.default_dtype()))
+        feed[:] = self.sos.data
+        # no decode outgrows the position table, whatever the caller's cap
+        cache = SelfAttentionCache(len(self.decoder.layers), min(max_len, cfg.max_len + 2))
         states = [_GreedyState(movie, topk, cfg, self.eos.data, max_len) for movie, _ in group]
         active, memory = np.arange(len(group)), None
         t = 1
@@ -287,15 +297,18 @@ class TrailerModel(Module):
                 cross_mask = None
                 if np.any(lengths[active] < width):
                     cross_mask = ad.padding_mask(lengths[active], width)[:, None, None, :]
-            x = ad.add(Tensor(prefix[active, :t], dtype=prefix.dtype), self.positional_rows(t))
-            out = self.decoder(x, memory, ad.causal_mask(t), cross_mask)
+            x = ad.add(Tensor(feed[active, None], dtype=feed.dtype),
+                       self.positional_rows(t)[t - 1])
+            out = self.decoder(x, memory, None, cross_mask, cache)
             still = []
             for row, i in enumerate(active):
-                feedback = states[i].step(np.array(out.data[row, -1]))
+                feedback = states[i].step(np.array(out.data[row, 0]))
                 if feedback is not None:
-                    prefix[i, t] = feedback
-                    still.append(i)
-            active = np.array(still, dtype=np.int64)
+                    feed[i] = feedback
+                    still.append(row)
+            if len(still) < active.size:
+                cache.keep(still)
+                active = active[still]
             t += 1
         return [state.result() for state in states]
 
@@ -307,7 +320,7 @@ class _GreedyState:
                  max_len: int):
         self.movie, self.cfg, self.eos, self.max_len = movie, cfg, eos, max_len
         self.k = min(max(1, topk), movie.shape[0])
-        self.kept, self.all_preds, self.matched = [], [], []
+        self.all_preds, self.matched = [], []
         self.topk_idx, self.topk_sims = [], []
         self.chosen: set[int] = set()
         self.terminated = "max_len"
@@ -331,17 +344,19 @@ class _GreedyState:
         self.topk_sims.append(match_similarities(pred, self.movie, ranked))
         if cfg.no_repeat:
             self.chosen.add(ranked[0])
-        self.kept.append(pred)
-        if len(self.kept) >= self.max_len:
+        if len(self.matched) >= self.max_len:
             return None
         return self.movie[ranked[0] - 1] if cfg.feedback == "retrieved" else pred
 
     def result(self) -> DecodedTrailer:
+        # every kept prediction was matched, and only the last step can go
+        # unkept, so the kept rows are a prefix of all predictions
+        preds = np.stack(self.all_preds)
         return DecodedTrailer(
-            embeddings=np.stack(self.kept) if self.kept else np.zeros((0, self.cfg.d_model)),
+            embeddings=preds[:len(self.matched)],
             matched_indices=self.matched,
             terminated_by=self.terminated,
             topk_indices=self.topk_idx,
             topk_similarities=self.topk_sims,
-            all_predictions=np.stack(self.all_preds),
+            all_predictions=preds,
         )

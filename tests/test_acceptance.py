@@ -86,7 +86,7 @@ def generalization_run():
     report = evaluate(result.model, test_pairs, k_list=(1, 5, 10),
                       max_len=max_len)
     runtime = time.perf_counter() - t0
-    return train_pairs, test_pairs, report, runtime
+    return train_pairs, test_pairs, report, runtime, result.model
 
 
 # --------------------------------------------------------------------------
@@ -238,7 +238,7 @@ def test_criterion_4_overfit_sanity():
 # --------------------------------------------------------------------------
 
 def test_criterion_5_generalization(generalization_run):
-    train_pairs, test_pairs, report, runtime = generalization_run
+    train_pairs, test_pairs, report, runtime, _ = generalization_run
     mean_n = float(np.mean([len(ex.movie) for ex in test_pairs]))
     mean_m = float(np.mean([len(ex.trailer) for ex in test_pairs]))
     baseline = random_baseline(int(round(mean_n)), int(round(mean_m)),
@@ -324,7 +324,7 @@ def test_criterion_6_ablation_trends():
 # --------------------------------------------------------------------------
 
 def test_criterion_7_topk_monotonicity(generalization_run):
-    _, _, report, _ = generalization_run
+    _, _, report, _, _ = generalization_run
     f1 = report.f1
     monotone = f1[10] >= f1[5] >= f1[1]
     strict = f1[10] > f1[1]
@@ -334,6 +334,25 @@ def test_criterion_7_topk_monotonicity(generalization_run):
              f"strict somewhere: {strict}")
     assert monotone
     assert strict
+
+
+def test_cached_decode_matches_reference_on_heldout_pairs(generalization_run):
+    # the float32 gate of the cached decode: on the trained model's held-out
+    # pairs, one-movie and batched decodes match the uncached reference in
+    # every index and within the benchmark's 1e-4 relative bound
+    train_pairs, test_pairs, _, _, model = generalization_run
+    max_len = suggested_decode_cap(train_pairs)
+    movies = [ex.movie.embeddings for ex in test_pairs]
+    batched = model.generate_batch(movies, max_len=max_len, topk=10)
+    for movie, dec in zip(movies, batched):
+        ref = oracles.reference_generate(model, movie, max_len=max_len, topk=10)
+        single = model.generate(movie, max_len=max_len, topk=10)
+        for got in (single, dec):
+            assert got.matched_indices == ref.matched_indices
+            assert got.terminated_by == ref.terminated_by
+            assert got.topk_indices == ref.topk_indices
+            gap = np.max(np.abs(got.all_predictions - ref.all_predictions))
+            assert gap <= 1e-4 * np.max(np.abs(ref.all_predictions))
 
 
 # --------------------------------------------------------------------------

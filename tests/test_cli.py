@@ -175,6 +175,15 @@ class TestTrain:
             for cell in row[1:]:
                 float(cell)  # repr() floats must parse back
 
+    def test_phase_timings_in_manifest_not_in_loss_log(self, run_dir):
+        timings = json.loads((run_dir / "run_manifest.json").read_text())["timings"]
+        for phase in ("load_s", "train_s", "write_s"):
+            assert 0.0 <= timings[phase] <= timings["wall_seconds"]
+        assert timings["steps"] == 2 * 2
+        assert timings["steps_per_s"] > 0.0
+        text = (run_dir / "loss_log.csv").read_text()
+        assert "_s" not in text and "seconds" not in text
+
     def test_config_baked_into_checkpoint(self, run_dir):
         ck = load_checkpoint(run_dir / "model.ckpt")
         assert ck.model_config.d_model == 16
@@ -362,6 +371,18 @@ class TestInfer:
         n = sidecar["movie_shots"]
         assert len(sidecar["matched_indices"]) == 6
         assert all(1 <= i <= n for i in sidecar["matched_indices"])
+
+    def test_decode_timing_in_manifest(self, run_dir, data_dir, tmp_path):
+        movie_file = next(data_dir.glob("*.movie.json"))
+        out = tmp_path / "decoded.json"
+        rc = main(["infer", "--checkpoint", str(run_dir / "model.ckpt"),
+                   "--movie", str(movie_file), "--out", str(out), "--max-len", "3"])
+        assert rc == 0
+        timings = json.loads((tmp_path / "run_manifest.json").read_text())["timings"]
+        assert 0.0 <= timings["decode_s"] <= timings["wall_seconds"]
+        assert timings["decoded_shots_per_s"] > 0.0
+        sidecar = out.with_suffix(".decode.json").read_text()
+        assert "_s\"" not in sidecar and "seconds" not in sidecar
 
     def test_dim_mismatch_exit_2(self, run_dir, tmp_path, capsys):
         rng = np.random.default_rng(0)
