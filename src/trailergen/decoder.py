@@ -24,13 +24,17 @@ from .shots import ShotSequence, cosine_similarity
 class SelfAttentionCache:
     """Self-attention keys and values of the rows decoded so far, one buffer pair per layer.
 
-    Row t of layer i's [B, capacity, d] buffers holds the K and V that
-    layer's self-attention projected for decoded row t; ``length`` rows are
-    filled.  With ``pre_norm`` these are projections of the normed layer
-    input, since that is what ``self_attn`` sees.  A buffer is allocated at
-    its layer's first write, in the dtype of the projections.  The buffers
-    are plain arrays, so no gradient flows through them.
+    Row t of layer i's [B, rows, d] buffers holds the K and V that layer's
+    self-attention projected for decoded row t; ``length`` rows are filled.
+    With ``pre_norm`` these are projections of the normed layer input, since
+    that is what ``self_attn`` sees.  A buffer is allocated at its layer's
+    first write, in the dtype of the projections, with ``FIRST_ROWS`` rows,
+    and doubles when full, up to ``capacity`` rows; so a decode that stops
+    early holds few rows whatever its cap.  The buffers are plain arrays, so
+    no gradient flows through them.
     """
+
+    FIRST_ROWS = 64
 
     def __init__(self, layers: int, capacity: int):
         self.capacity = capacity
@@ -43,10 +47,13 @@ class SelfAttentionCache:
         t = self.length
         if t >= self.capacity:
             raise ConfigurationError(f"decode cache holds {self.capacity} rows")
-        if self.keys[layer] is None:
-            shape = (k.shape[0], self.capacity, k.shape[-1])
-            self.keys[layer] = np.empty(shape, dtype=k.dtype)
-            self.values[layer] = np.empty(shape, dtype=v.dtype)
+        if self.keys[layer] is None or t == self.keys[layer].shape[1]:
+            rows = min(self.capacity, max(self.FIRST_ROWS, 2 * t))
+            for buffers, new in ((self.keys, k), (self.values, v)):
+                grown = np.empty((new.shape[0], rows, new.shape[-1]), dtype=new.dtype)
+                if t:
+                    grown[:, :t] = buffers[layer][:, :t]
+                buffers[layer] = grown
         keys, values = self.keys[layer], self.values[layer]
         keys[:, t] = k[:, 0]
         values[:, t] = v[:, 0]

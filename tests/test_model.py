@@ -506,10 +506,10 @@ def test_kept_embeddings_are_a_view_of_all_predictions():
     np.testing.assert_array_equal(dec.embeddings, dec.all_predictions[:4])
 
 
-def test_generate_cap_beyond_position_table_allocates_by_the_table():
-    # no decode outgrows the position table, so a cap of 1e8 steps sizes no
-    # buffer: the K/V buffers hold max_len + 2 rows (a 1e8-row buffer would
-    # be 95 GiB at the desk preset)
+def test_generate_cap_beyond_position_table_allocates_by_decoded_rows():
+    # a cap of 1e8 steps sizes no buffer (a 1e8-row buffer would be 95 GiB
+    # at the desk preset, the whole position table 514 rows): a decode that
+    # stops at step 1 holds the cache's first rows only
     cfg = with_overrides(preset("desk"), eos_rule="threshold", eos_threshold=-2.0)
     model = TrailerModel(cfg, seed=39)
     movies = [_movie(10, d=cfg.d_model, seed=60 + i) for i in range(4)]
@@ -520,8 +520,31 @@ def test_generate_cap_beyond_position_table_allocates_by_the_table():
     finally:
         tracemalloc.stop()
     assert [(g.terminated_by, len(g.all_predictions)) for g in got] == [("eos", 1)] * 4
-    kv_bytes = 2 * cfg.decoder_layers * len(movies) * (cfg.max_len + 2) * cfg.d_model * 4
+    kv_bytes = 2 * cfg.decoder_layers * len(movies) * SelfAttentionCache.FIRST_ROWS * cfg.d_model * 4
+    assert SelfAttentionCache.FIRST_ROWS < cfg.max_len + 2
     assert peak <= kv_bytes + (1 << 20)
+
+
+def test_cache_buffers_double_up_to_capacity_and_keep_their_rows():
+    rng = np.random.default_rng(44)
+    first = SelfAttentionCache.FIRST_ROWS
+    cache = SelfAttentionCache(2, 2 * first + 5)
+    written, sizes = [], []
+    for t in range(cache.capacity):
+        k, v = rng.normal(size=(2, 3, 1, 4))
+        for layer in range(2):
+            keys, values = cache.extend(layer, k, v)
+            assert keys.shape == values.shape == (3, t + 1, 4)
+        cache.length += 1
+        written.append((k[:, 0], v[:, 0]))
+        sizes.append(cache.keys[0].shape[1])
+    assert sorted(set(sizes)) == [first, 2 * first, 2 * first + 5]
+    assert sizes.index(2 * first) == first            # grown on the first row past a full buffer
+    for layer in range(2):
+        np.testing.assert_array_equal(cache.keys[layer], np.stack([k for k, _ in written], 1))
+        np.testing.assert_array_equal(cache.values[layer], np.stack([v for _, v in written], 1))
+    with pytest.raises(ConfigurationError):
+        cache.extend(0, k, v)
 
 
 def test_generate_past_position_table_still_raises():
