@@ -13,8 +13,8 @@ from .conditioning import augment_context
 from .decoder import DecodedTrailer, detect_eos, match_nearest, match_similarities
 from .encoder import ContextEncoder, TrailernessEncoder, fuse_trailerness
 from .gradcheck import gradcheck_suite
-from .losses import (LossBreakdown, kl_loss, reconstruction_loss, total_loss,
-                     trailerness_loss)
+from .losses import (LossBreakdown, batched_kl_loss, batched_reconstruction_loss,
+                     batched_trailerness_loss, total_loss)
 from .metrics import (MetricsReport, align_gt, levenshtein,
                       precision_recall_f1, random_baseline, score_pairs, sld)
 from .model import EncodeResult, TrailerModel

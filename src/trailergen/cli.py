@@ -100,16 +100,15 @@ def load_config(path: str | None, overrides: list[str] | None) -> dict[str, dict
     return sections
 
 
-def _model_config(sections: dict, preset_name: str | None = None) -> ModelConfig:
+def _model_config(sections: dict, preset_name: str | None = None,
+                  flags: dict | None = None) -> ModelConfig:
+    """The preset, then the config's model entries, then ``flags`` on top."""
     values = dict(sections.get("model", {}))
     name = values.pop("preset", preset_name)
     base = preset(name).to_dict() if name else ModelConfig().to_dict()
     base.update(values)
+    base.update(flags or {})
     return ModelConfig.from_dict(base)
-
-
-def _train_config(sections: dict) -> TrainConfig:
-    return TrainConfig.from_dict(dict(sections.get("train", {})))
 
 
 def _generator_config(sections: dict) -> tuple[GeneratorConfig, dict]:
@@ -200,20 +199,20 @@ def _loss_csv(path, history: list[dict]) -> None:
 def cmd_train(args) -> int:
     started = time.perf_counter()
     sections = load_config(args.config, args.set)
-    model_cfg = _model_config(sections, args.preset)
+    flags = {}
     if args.no_trailerness_encoder:
-        model_cfg = ModelConfig.from_dict(
-            {**model_cfg.to_dict(), "use_trailerness_encoder": False})
+        flags["use_trailerness_encoder"] = False
     if args.no_context_encoder:
-        model_cfg = ModelConfig.from_dict(
-            {**model_cfg.to_dict(), "use_context_encoder": False})
-    train_cfg = _train_config(sections)
+        flags["use_context_encoder"] = False
+    model_cfg = _model_config(sections, args.preset, flags)
+    train_values = dict(sections.get("train", {}))
     if args.seed is not None:
-        train_cfg = TrainConfig.from_dict({**train_cfg.to_dict(), "seed": args.seed})
+        train_values["seed"] = args.seed
     if args.epochs is not None:
-        train_cfg = TrainConfig.from_dict({**train_cfg.to_dict(), "epochs": args.epochs})
+        train_values["epochs"] = args.epochs
     if args.use_conditions:
-        train_cfg = TrainConfig.from_dict({**train_cfg.to_dict(), "use_conditions": True})
+        train_values["use_conditions"] = True
+    train_cfg = TrainConfig.from_dict(train_values)
 
     data_dir = Path(args.data)
     if not (data_dir / "corpus.json").exists():

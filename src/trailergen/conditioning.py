@@ -20,8 +20,8 @@ def augment_context(memory: Tensor, cond: Tensor | None, mode: str,
                     cond_valid: np.ndarray | None = None):
     """Row-concatenate condition vectors onto the context memory.
 
-    Works on a single sequence ([L, d] + [Lc, dc]) or a padded batch
-    ([B, L, d] + [B, Lc, dc] with validity masks).  An absent or empty
+    ``memory`` [B, L, d] and ``cond`` [B, Lc, dc] come with their validity
+    masks; returns the merged memory and its mask.  An absent or empty
     condition returns ``memory`` untouched, so an unconditioned forward pass
     and a conditioned one with no condition rows are identical.
     """
@@ -29,8 +29,11 @@ def augment_context(memory: Tensor, cond: Tensor | None, mode: str,
         raise ValueError(f"unknown condition mode {mode!r}")
     if cond is None or cond.shape[-2] == 0:
         return memory, memory_valid
-    if cond.ndim != memory.ndim:
-        raise ShapeError(f"condition rank {cond.ndim} does not match memory rank {memory.ndim}")
+    if memory.ndim != 3 or cond.ndim != 3:
+        raise ShapeError(f"memory and condition must be [B, L, d] batches, "
+                         f"got ranks {memory.ndim} and {cond.ndim}")
+    if memory_valid is None or cond_valid is None:
+        raise ShapeError("condition augmentation needs both validity masks")
 
     if projection is not None:
         cond = projection(cond)
@@ -41,14 +44,6 @@ def augment_context(memory: Tensor, cond: Tensor | None, mode: str,
     if mode == "contextualized":
         if extra_layer is None:
             raise ValueError("contextualized mode needs its extra encoder layer")
-        mask = None
-        if cond.ndim == 3 and cond_valid is not None:
-            mask = cond_valid[:, None, None, :]
-        cond = extra_layer(cond, mask)
+        cond = extra_layer(cond, cond_valid[:, None, None, :])
 
-    merged = ad.concat([memory, cond], axis=-2)
-    if memory.ndim == 2:
-        return merged, None
-    if memory_valid is None or cond_valid is None:
-        raise ShapeError("batched condition augmentation needs both validity masks")
-    return merged, np.concatenate([memory_valid, cond_valid], axis=1)
+    return ad.concat([memory, cond], axis=-2), np.concatenate([memory_valid, cond_valid], axis=1)

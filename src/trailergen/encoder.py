@@ -38,20 +38,12 @@ class TrailernessEncoder(Module):
         return ad.reshape(ad.sigmoid(raw), raw.shape[:-1])
 
 
-def fuse_trailerness(framed_pos: Tensor, scores: Tensor,
-                     direction: Tensor | None = None) -> Tensor:
-    """Add each position's scalar score onto its embedding row.
-
-    With ``direction`` the score enters through a learned d-vector instead of
-    a constant broadcast; the default matches plain additive injection.
-    """
+def fuse_trailerness(framed_pos: Tensor, scores: Tensor) -> Tensor:
+    """Add each position's scalar score onto every dimension of its embedding row."""
     if scores.shape != framed_pos.shape[:-1]:
         raise ShapeError(
             f"scores {scores.shape} do not match positions of {framed_pos.shape}")
-    col = ad.reshape(scores, scores.shape + (1,))
-    if direction is not None:
-        return ad.add(framed_pos, ad.mul(col, ad.reshape(direction, (1, -1))))
-    return ad.add(framed_pos, col)
+    return ad.add(framed_pos, ad.reshape(scores, scores.shape + (1,)))
 
 
 class ContextEncoder(Module):

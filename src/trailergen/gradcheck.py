@@ -22,9 +22,12 @@ from .autodiff import Tensor
 from .config import ModelConfig
 from .layers import (DecoderLayer, EncoderLayer, FeedForward, LayerNorm, Linear,
                      MultiHeadAttention)
-from .losses import kl_loss, reconstruction_loss, total_loss, trailerness_loss
+from .losses import (batched_kl_loss, batched_reconstruction_loss,
+                     batched_trailerness_loss, total_loss)
 from .model import TrailerModel
-from .shots import trailerness_ground_truth
+from .shots import ShotSequence
+from .synthetic import PairExample
+from .training import batch_loss, pad_batch
 
 _SUITE_TAG = 4
 
@@ -246,55 +249,47 @@ def _make_decoder_layer_check(pre_norm):
     return build
 
 
+# the loss checks run on a padded batch of two pairs, the second one slot short
+_LOSS_VALID = ad.padding_mask([3, 2], 3)
+
+
 def _check_trailerness_loss(rng):
-    s = _leaf(rng, 5)
-    gt = rng.random(5)
-    return lambda: trailerness_loss(ad.sigmoid(s), gt), [s]
+    s, gt = _leaf(rng, 2, 3), rng.random((2, 3))
+    return lambda: batched_trailerness_loss(ad.sigmoid(s), gt, _LOSS_VALID), [s]
 
 
 def _check_reconstruction_loss(rng):
-    pred, eos = _leaf(rng, 3, 4), _leaf(rng, 4)
-    target = rng.standard_normal((2, 4))
-    return lambda: reconstruction_loss(pred, target, eos), [pred, eos]
+    pred, targets = _leaf(rng, 2, 3, 4), _leaf(rng, 2, 3, 4)
+    return lambda: batched_reconstruction_loss(pred, targets, _LOSS_VALID), [pred, targets]
 
 
 def _check_kl_loss(rng):
-    pred, eos = _leaf(rng, 3, 4), _leaf(rng, 4)
-    target = rng.standard_normal((2, 4))
-    return lambda: kl_loss(pred, target, eos), [pred, eos]
+    pred, targets = _leaf(rng, 2, 3, 4), _leaf(rng, 2, 3, 4)
+    return lambda: batched_kl_loss(pred, targets, _LOSS_VALID), [pred, targets]
 
 
 def _check_total_loss(rng):
-    s, pred, eos = _leaf(rng, 5), _leaf(rng, 3, 4), _leaf(rng, 4)
-    gt = rng.random(5)
-    target = rng.standard_normal((2, 4))
-    return (lambda: total_loss(trailerness_loss(ad.sigmoid(s), gt),
-                               reconstruction_loss(pred, target, eos),
-                               kl_loss(pred, target, eos),
+    s, pred, targets = _leaf(rng, 2, 3), _leaf(rng, 2, 3, 4), _leaf(rng, 2, 3, 4)
+    gt = rng.random((2, 3))
+    return (lambda: total_loss(batched_trailerness_loss(ad.sigmoid(s), gt, _LOSS_VALID),
+                               batched_reconstruction_loss(pred, targets, _LOSS_VALID),
+                               batched_kl_loss(pred, targets, _LOSS_VALID),
                                weights=(1.0, 0.5, 2.0))[0],
-            [s, pred, eos])
+            [s, pred, targets])
 
 
 def _check_model_total_loss(rng):
-    """Full pipeline on a 2-shot movie at d=8: encode, fuse, decode, combined loss."""
+    """The training loss at d=8 on a padded batch of a 2-shot and a 3-shot
+    movie: encode, fuse, decode, combined loss."""
     cfg = ModelConfig(d_model=8, num_heads=2, ff_dim=16, trailerness_layers=1,
                       context_layers=1, decoder_layers=1, max_len=16)
-    seed = int(rng.integers(0, 2**31))
-    model = TrailerModel(cfg, seed=seed)
-    movie = rng.standard_normal((2, 8))
-    trailer = rng.standard_normal((2, 8))
-    gt = trailerness_ground_truth(movie, trailer)
-
-    def f():
-        enc = model.encode_single(movie)
-        preds = model.decode_teacher_forced(enc.memory, trailer)
-        loss, _ = total_loss(trailerness_loss(enc.scores, gt),
-                             reconstruction_loss(preds, trailer, model.eos),
-                             kl_loss(preds, trailer, model.eos))
-        return loss
-
+    model = TrailerModel(cfg, seed=int(rng.integers(0, 2**31)))
+    pairs = [PairExample(f"p{n}", ShotSequence(f"m{n}", rng.standard_normal((n, 8)), "movie"),
+                         ShotSequence(f"t{n}", rng.standard_normal((m, 8)), "trailer"))
+             for n, m in ((2, 2), (3, 1))]
+    batch = pad_batch(pairs)
     names = [name for name, _ in model.named_parameters()]
-    return f, model.parameters(), names
+    return lambda: batch_loss(model, batch)[0], model.parameters(), names
 
 
 CHECKS = {

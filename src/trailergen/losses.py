@@ -1,11 +1,10 @@
 """Training objectives: score regression, embedding reconstruction, and a
 per-shot distributional KL term, combined into one weighted total.
 
-Each loss is a sum over positions (not a mean), so longer sequences weigh
-more; ``normalize`` divides each pair's sum by its valid-position count for
-batching stability.  Batched variants take boolean validity masks and are
-constructed so padded positions contribute exactly zero to values and
-gradients.
+Each loss takes a padded batch with a boolean validity mask, sums over a
+pair's valid positions (not a mean, so longer sequences weigh more) and
+averages those sums over the pairs.  Padded positions contribute exactly
+zero to values and gradients.
 """
 
 from __future__ import annotations
@@ -29,48 +28,6 @@ class LossBreakdown:
 
     def as_dict(self) -> dict:
         return {"l_t": self.l_t, "l_rec": self.l_rec, "l_kl": self.l_kl, "total": self.total}
-
-
-def trailerness_loss(pred, gt) -> Tensor:
-    """Sum of squared errors over all framed positions (SOS/EOS included)."""
-    pred, gt = as_tensor(pred), as_tensor(gt)
-    if pred.shape != gt.shape or pred.ndim != 1:
-        raise ShapeError(f"score vectors must match, got {pred.shape} vs {gt.shape}")
-    diff = ad.sub(pred, gt)
-    return ad.tensor_sum(ad.mul(diff, diff))
-
-
-def append_eos_row(target, eos: Tensor) -> Tensor:
-    """Stack the trailer rows with the (learnable) EOS vector as the final target row."""
-    rows = as_tensor(target if isinstance(target, np.ndarray) else target.embeddings)
-    if rows.ndim != 2:
-        raise ShapeError(f"target must be [m, d], got {rows.shape}")
-    return ad.concat([rows, ad.reshape(eos, (1, rows.shape[1]))], axis=0)
-
-
-def reconstruction_loss(pred: Tensor, target, eos: Tensor) -> Tensor:
-    """Sum over the m+1 rows (trailer shots then EOS) of squared L2 error."""
-    rows = append_eos_row(target, eos)
-    if pred.shape != rows.shape:
-        raise ShapeError(f"predictions {pred.shape} do not match targets {rows.shape}")
-    diff = ad.sub(pred, rows)
-    return ad.tensor_sum(ad.mul(diff, diff))
-
-
-def kl_loss(pred: Tensor, target, eos: Tensor) -> Tensor:
-    """Per-row KL over the d dimensions: softmax(target row) leading.
-
-    Both rows pass through a softmax across the embedding dimensions, then
-    the target distribution multiplies the log-ratio - zero exactly when the
-    two rows induce equal distributions.
-    """
-    rows = append_eos_row(target, eos)
-    if pred.shape != rows.shape:
-        raise ShapeError(f"predictions {pred.shape} do not match targets {rows.shape}")
-    log_p = ad.log_softmax(rows, axis=-1)
-    log_q = ad.log_softmax(pred, axis=-1)
-    p = ad.exp(log_p)
-    return ad.tensor_sum(ad.mul(p, ad.sub(log_p, log_q)))
 
 
 def total_loss(l_t, l_rec, l_kl, weights=(1.0, 1.0, 1.0)) -> tuple[Tensor, LossBreakdown]:
@@ -100,50 +57,40 @@ def total_loss(l_t, l_rec, l_kl, weights=(1.0, 1.0, 1.0)) -> tuple[Tensor, LossB
     return total, breakdown
 
 
-# --------------------------------------------------------------------------
-# batched, padding-masked variants used by the training loop
-# --------------------------------------------------------------------------
+def _pair_mean(per_position: Tensor, valid: np.ndarray) -> Tensor:
+    """Sum each pair's valid positions of a [B, T] tensor, then average over pairs."""
+    weighted = ad.mul(per_position, np.asarray(valid, dtype=np.float64))
+    return ad.mul(ad.tensor_sum(weighted), 1.0 / per_position.shape[0])
 
 
-def _pair_weights(valid: np.ndarray, normalize: bool) -> np.ndarray:
-    """Per-position weights: 1 on valid slots, /count if normalizing, 0 on padding."""
-    w = np.asarray(valid, dtype=np.float64)
-    if normalize:
-        counts = np.maximum(w.sum(axis=-1, keepdims=True), 1.0)
-        w = w / counts
-    return w
-
-
-def batched_trailerness_loss(pred: Tensor, gt: np.ndarray, valid: np.ndarray,
-                             normalize: bool = False) -> Tensor:
-    """Mean over pairs of the per-pair sum of squared score errors."""
+def batched_trailerness_loss(pred: Tensor, gt: np.ndarray, valid: np.ndarray) -> Tensor:
+    """Mean over pairs of the per-pair sum of squared score errors, over all
+    framed positions (SOS/EOS included)."""
     if pred.shape != gt.shape:
         raise ShapeError(f"scores {pred.shape} vs targets {gt.shape}")
-    batch = pred.shape[0]
     diff = ad.sub(pred, gt)
-    weighted = ad.mul(ad.mul(diff, diff), _pair_weights(valid, normalize))
-    return ad.mul(ad.tensor_sum(weighted), 1.0 / batch)
+    return _pair_mean(ad.mul(diff, diff), valid)
 
 
-def batched_reconstruction_loss(pred: Tensor, targets: Tensor, row_valid: np.ndarray,
-                                normalize: bool = False) -> Tensor:
+def batched_reconstruction_loss(pred: Tensor, targets: Tensor, row_valid: np.ndarray) -> Tensor:
+    """Mean over pairs of the per-pair sum over target rows (trailer shots
+    then EOS) of the squared L2 error."""
     if pred.shape != targets.shape:
         raise ShapeError(f"predictions {pred.shape} vs targets {targets.shape}")
-    batch = pred.shape[0]
     diff = ad.sub(pred, targets)
-    per_row = ad.tensor_sum(ad.mul(diff, diff), axis=-1)  # [B, T]
-    weighted = ad.mul(per_row, _pair_weights(row_valid, normalize))
-    return ad.mul(ad.tensor_sum(weighted), 1.0 / batch)
+    return _pair_mean(ad.tensor_sum(ad.mul(diff, diff), axis=-1), row_valid)
 
 
-def batched_kl_loss(pred: Tensor, targets: Tensor, row_valid: np.ndarray,
-                    normalize: bool = False) -> Tensor:
+def batched_kl_loss(pred: Tensor, targets: Tensor, row_valid: np.ndarray) -> Tensor:
+    """Per-row KL over the d dimensions with softmax(target row) leading.
+
+    Both rows pass through a softmax across the embedding dimensions, then
+    the target distribution multiplies the log-ratio: zero exactly when the
+    two rows induce equal distributions.  Summed and averaged as above.
+    """
     if pred.shape != targets.shape:
         raise ShapeError(f"predictions {pred.shape} vs targets {targets.shape}")
-    batch = pred.shape[0]
     log_p = ad.log_softmax(targets, axis=-1)
     log_q = ad.log_softmax(pred, axis=-1)
     p = ad.exp(log_p)
-    per_row = ad.tensor_sum(ad.mul(p, ad.sub(log_p, log_q)), axis=-1)  # [B, T]
-    weighted = ad.mul(per_row, _pair_weights(row_valid, normalize))
-    return ad.mul(ad.tensor_sum(weighted), 1.0 / batch)
+    return _pair_mean(ad.tensor_sum(ad.mul(p, ad.sub(log_p, log_q)), axis=-1), row_valid)

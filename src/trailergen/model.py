@@ -1,13 +1,10 @@
 """End-to-end sequence-to-sequence model.
 
 ``TrailerModel`` owns the learnable pieces (SOS/EOS vectors, trailerness
-encoder, context encoder, decoder stack, optional condition components) and
-provides both call styles:
-
-* unbatched 2-D paths used by the encoder side of inference and by the
-  op-level contract tests;
-* batched 3-D paths with padding masks used by the training loop and by the
-  greedy decode loop, where a single movie is a batch of one.
+encoder, context encoder, decoder stack, optional condition components).
+Every pass runs on zero-padded [B, L, d] batches with validity masks: the
+training loop feeds whole batches, and a single movie (the greedy decode
+loop, ``encode_single``, ``decode_teacher_forced``) is a batch of one.
 
 Submodules draw their init values from per-component seed streams, so e.g. a
 conditioned and an unconditioned model built from the same seed share
@@ -38,15 +35,20 @@ _GROUP_BYTES = 4 << 20
 
 @dataclass
 class EncodeResult:
-    memory: Tensor              # context sequence the decoder attends over
-    valid: np.ndarray           # framed-position validity (batched) or None
-    scores: Tensor | None       # per-position trailerness, None when the encoder is ablated
-    framed_pos: Tensor          # framed input with positions added (pre-fusion)
+    memory: Tensor              # [B, L, d] context sequence the decoder attends over
+    valid: np.ndarray           # [B, L] framed-position validity
+    scores: Tensor | None       # [B, L] trailerness, None when the encoder is ablated
     lengths: np.ndarray         # framed lengths n_i + 2
 
 
 def _as_embedding_array(movie) -> np.ndarray:
     return movie.embeddings if isinstance(movie, ShotSequence) else np.asarray(movie)
+
+
+def _pad_stack(rows: list[Tensor], width: int) -> Tensor:
+    """Zero-pad each [n_i, d] tensor to [width, d] and stack them into [B, width, d]."""
+    return ad.stack([ad.concat([t, Tensor(np.zeros((width - t.shape[0], t.shape[1])))], axis=0)
+                     if t.shape[0] < width else t for t in rows], axis=0)
 
 
 class TrailerModel(Module):
@@ -55,7 +57,7 @@ class TrailerModel(Module):
         self.cfg = cfg
         d = cfg.d_model
         streams = {name: np.random.default_rng([seed, i]) for i, name in enumerate(
-            ("tokens", "trailerness", "context", "decoder", "condition", "extras"))}
+            ("tokens", "trailerness", "context", "decoder", "condition"))}
 
         tok = streams["tokens"]
         self.sos = Parameter(tok.normal(0.0, 0.02, size=d))
@@ -63,9 +65,6 @@ class TrailerModel(Module):
 
         self.trailerness = (TrailernessEncoder(cfg, streams["trailerness"])
                             if cfg.use_trailerness_encoder else None)
-        self.score_direction = None
-        if cfg.use_trailerness_encoder and cfg.score_fusion == "projected":
-            self.score_direction = Parameter(streams["extras"].normal(0.0, 0.02, size=d))
         self.context = ContextEncoder(cfg, streams["context"]) if cfg.use_context_encoder else None
         self.decoder = DecoderStack(cfg, streams["decoder"])
 
@@ -79,14 +78,7 @@ class TrailerModel(Module):
                 self.condition_layer = EncoderLayer(
                     d, cfg.num_heads, cfg.ff_dim, streams["condition"],
                     pre_norm=cfg.pre_norm, eps=cfg.layer_norm_eps)
-
-        if cfg.position_mode == "learned":
-            self.pos_table = Parameter(
-                streams["extras"].normal(0.0, 0.02, size=(cfg.max_len + 2, d)))
-            self._pos_const = None
-        else:
-            self.pos_table = None
-            self._pos_const = positional_encoding(cfg.max_len, d)
+        self._pos_const = positional_encoding(cfg.max_len, d)
 
     # -- shared plumbing ------------------------------------------------------
 
@@ -95,8 +87,6 @@ class TrailerModel(Module):
             raise ConfigurationError(
                 f"sequence length {length} exceeds the position table "
                 f"(max_len={self.cfg.max_len})")
-        if self.pos_table is not None:
-            return self.pos_table[:length]
         return Tensor(self._pos_const[:length])
 
     def frame_one(self, embeddings) -> Tensor:
@@ -113,56 +103,32 @@ class TrailerModel(Module):
         arrays = [_as_embedding_array(m) for m in movies]
         lengths = np.array([a.shape[0] + 2 for a in arrays], dtype=np.int64)
         full = int(lengths.max())
-        d = self.cfg.d_model
-        rows = []
-        for arr in arrays:
-            framed = self.frame_one(arr)
-            pad = full - framed.shape[0]
-            if pad:
-                framed = ad.concat([framed, Tensor(np.zeros((pad, d)))], axis=0)
-            rows.append(framed)
-        return ad.stack(rows, axis=0), ad.padding_mask(lengths, full), lengths
+        framed = _pad_stack([self.frame_one(arr) for arr in arrays], full)
+        return framed, ad.padding_mask(lengths, full), lengths
 
     # -- encoder side -----------------------------------------------------------
 
-    def _encode_core(self, framed_pos: Tensor, key_mask: np.ndarray | None):
-        scores = None
-        fused = framed_pos
-        if self.trailerness is not None:
-            scores = self.trailerness(framed_pos, key_mask)
-            s = scores.detach() if self.cfg.stop_score_gradient else scores
-            fused = fuse_trailerness(framed_pos, s, self.score_direction)
-        memory = self.context(fused, key_mask) if self.context is not None else fused
-        return memory, scores, fused
-
     def encode_single(self, movie) -> EncodeResult:
-        framed = self.frame_one(movie)
-        length = framed.shape[0]
-        x = ad.add(framed, self.positional_rows(length))
-        memory, scores, _ = self._encode_core(x, None)
-        return EncodeResult(memory=memory, valid=None, scores=scores,
-                            framed_pos=x, lengths=np.array([length]))
+        """One movie as a batch of one: memory [1, n+2, d], scores [1, n+2]."""
+        return self.encode_batch([movie])
 
     def encode_batch(self, movies: list) -> EncodeResult:
         framed, valid, lengths = self.frame_batch(movies)
         x = ad.add(framed, self.positional_rows(framed.shape[1]))
-        key_mask = valid[:, None, None, :]
-        memory, scores, _ = self._encode_core(x, key_mask)
-        return EncodeResult(memory=memory, valid=valid, scores=scores,
-                            framed_pos=x, lengths=lengths)
+        # with no padded row a key mask would only add zeros
+        key_mask = None if valid.all() else valid[:, None, None, :]
+        scores, fused = None, x
+        if self.trailerness is not None:
+            scores = self.trailerness(x, key_mask)
+            fused = fuse_trailerness(x, scores)
+        memory = self.context(fused, key_mask) if self.context is not None else fused
+        return EncodeResult(memory=memory, valid=valid, scores=scores, lengths=lengths)
 
-    def attach_condition(self, enc: EncodeResult, conditions) -> tuple[Tensor, np.ndarray | None]:
-        """Append (projected, optionally contextualized) condition rows to the memory."""
+    def attach_condition(self, enc: EncodeResult, conditions) -> tuple[Tensor, np.ndarray]:
+        """Append (projected, optionally contextualized) condition rows to the
+        memory; ``conditions`` holds one [Lc, dc] array per movie of ``enc``."""
         if self.cfg.condition_mode == "none" or conditions is None:
             return enc.memory, enc.valid
-        if enc.memory.ndim == 2:
-            cond = _as_embedding_array(conditions)
-            if cond.shape[0] == 0:
-                return enc.memory, enc.valid
-            memory, _ = augment_context(
-                enc.memory, Tensor(cond), self.cfg.condition_mode,
-                projection=self.condition_proj, extra_layer=self.condition_layer)
-            return memory, None
         arrays = [_as_embedding_array(c) for c in conditions]
         if len(arrays) != enc.memory.shape[0]:
             raise ShapeError("need one condition per batched movie")
@@ -172,37 +138,25 @@ class TrailerModel(Module):
         if np.any(cond_lengths == 0):
             raise ConfigurationError("cannot batch empty with non-empty conditions")
         full = int(cond_lengths.max())
-        stacked = []
-        for arr in arrays:
-            t = Tensor(arr)
-            pad = full - arr.shape[0]
-            if pad:
-                t = ad.concat([t, Tensor(np.zeros((pad, arr.shape[1])))], axis=0)
-            stacked.append(t)
-        cond = ad.stack(stacked, axis=0)
-        cond_valid = ad.padding_mask(cond_lengths, full)
-        memory, mem_valid = augment_context(
-            enc.memory, cond, self.cfg.condition_mode,
-            projection=self.condition_proj, extra_layer=self.condition_layer,
-            memory_valid=enc.valid, cond_valid=cond_valid)
-        return memory, mem_valid
+        return augment_context(
+            enc.memory, _pad_stack([Tensor(arr) for arr in arrays], full),
+            self.cfg.condition_mode, projection=self.condition_proj,
+            extra_layer=self.condition_layer, memory_valid=enc.valid,
+            cond_valid=ad.padding_mask(cond_lengths, full))
 
     # -- decoder side -------------------------------------------------------------
 
     def decode_teacher_forced(self, memory: Tensor, target) -> Tensor:
-        """Unbatched training-style pass: rows predict v_1..v_m then EOS."""
-        arr = _as_embedding_array(target)
-        if arr.shape[0] < 1:
-            raise ShapeError("teacher forcing needs at least one target shot")
-        d = self.cfg.d_model
-        inputs = ad.concat([ad.reshape(self.sos, (1, d)), Tensor(arr)], axis=0)
-        t = inputs.shape[0]
-        x = ad.add(inputs, self.positional_rows(t))
-        return self.decoder(x, memory, ad.causal_mask(t), None)
+        """Teacher-forced rows [m+1, d] of one target over a batch-of-one
+        memory [1, L, d]: the rows predict v_1..v_m, then EOS."""
+        preds, _, _ = self.decode_teacher_forced_batch(memory, None, [target])
+        return preds[0]
 
-    def decode_teacher_forced_batch(self, memory: Tensor, memory_valid: np.ndarray,
+    def decode_teacher_forced_batch(self, memory: Tensor, memory_valid: np.ndarray | None,
                                     trailers: list):
-        """Batched pass; returns (predictions, target rows, row validity)."""
+        """Batched pass; returns (predictions, target rows, row validity).
+
+        ``memory_valid`` None means that no memory row is padding."""
         arrays = [_as_embedding_array(t) for t in trailers]
         counts = np.array([a.shape[0] for a in arrays], dtype=np.int64)
         if np.any(counts < 1):
@@ -211,23 +165,14 @@ class TrailerModel(Module):
         d = self.cfg.d_model
         sos_row = ad.reshape(self.sos, (1, d))
         eos_row = ad.reshape(self.eos, (1, d))
-        inputs, targets = [], []
-        for arr in arrays:
-            pad = width - (arr.shape[0] + 1)
-            zeros = Tensor(np.zeros((pad, d))) if pad else None
-            inp = ad.concat([sos_row, Tensor(arr)], axis=0)
-            tgt = ad.concat([Tensor(arr), eos_row], axis=0)
-            if zeros is not None:
-                inp = ad.concat([inp, zeros], axis=0)
-                tgt = ad.concat([tgt, zeros], axis=0)
-            inputs.append(inp)
-            targets.append(tgt)
-        x = ad.add(ad.stack(inputs, axis=0), self.positional_rows(width))
+        inputs = _pad_stack([ad.concat([sos_row, Tensor(arr)], axis=0) for arr in arrays], width)
+        targets = _pad_stack([ad.concat([Tensor(arr), eos_row], axis=0) for arr in arrays], width)
+        x = ad.add(inputs, self.positional_rows(width))
         row_valid = ad.padding_mask(counts + 1, width)
         self_mask = ad.causal_mask(width)[None, None] & row_valid[:, None, None, :]
         cross_mask = memory_valid[:, None, None, :] if memory_valid is not None else None
         preds = self.decoder(x, memory, self_mask, cross_mask)
-        return preds, ad.stack(targets, axis=0), row_valid
+        return preds, targets, row_valid
 
     def generate(self, movie, condition=None, max_len: int = 32,
                  topk: int = 1) -> DecodedTrailer:
@@ -238,11 +183,11 @@ class TrailerModel(Module):
                        max_len: int = 32, topk: int = 1) -> list[DecodedTrailer]:
         """Autoregressive decode of many movies: grow each prefix until EOS or the step cap.
 
-        Each movie is encoded and conditioned on its own, so its memory is
-        the one a single decode builds.  Consecutive memories are zero-padded
-        into one [B, L, d] batch while that stays under ``_GROUP_BYTES``, and
-        each step runs one cached decoder pass over the next row of every
-        sequence still decoding.
+        Each movie is encoded and conditioned as a batch of one, so no
+        [B, H, L, L] encoder scores are ever held for many movies at once.
+        Consecutive memories are zero-padded into one [B, L, d] batch while
+        that stays under ``_GROUP_BYTES``, and each step runs one cached
+        decoder pass over the next row of every sequence still decoding.
         Each decoded embedding is matched to movie shots immediately; the
         matched shot feeds back instead of the raw prediction when the model
         is configured for retrieval feedback.
@@ -259,9 +204,11 @@ class TrailerModel(Module):
         decoded, group, rows = [], [], 0
         with ad.no_grad():
             for movie, condition in zip(arrays, conditions):
-                memory, _ = self.attach_condition(self.encode_single(movie), condition)
+                memory, _ = self.attach_condition(
+                    self.encode_batch([movie]), None if condition is None else [condition])
+                memory = memory.data[0]
                 rows = max(rows, memory.shape[0])
-                padded = (len(group) + 1) * rows * memory.shape[1] * memory.data.itemsize
+                padded = (len(group) + 1) * rows * memory.shape[1] * memory.itemsize
                 if group and padded > _GROUP_BYTES:
                     decoded += self._decode_group(group, max_len, topk)
                     group, rows = [], memory.shape[0]
@@ -270,7 +217,7 @@ class TrailerModel(Module):
         return decoded
 
     def _decode_group(self, group: list, max_len: int, topk: int) -> list[DecodedTrailer]:
-        """Decode (movie, memory) pairs together; a finished sequence leaves the batch.
+        """Decode (movie, [L, d] memory) pairs together; a finished sequence leaves the batch.
 
         Step t feeds one row per active sequence (SOS, then the fed-back row,
         plus positional row t-1); the self-attention keys and values of the
@@ -281,7 +228,7 @@ class TrailerModel(Module):
         lengths = np.array([memory.shape[0] for _, memory in group])
         memories = np.zeros((len(group), lengths.max(), cfg.d_model), dtype=group[0][1].dtype)
         for row, (_, memory) in zip(memories, group):
-            row[:memory.shape[0]] = memory.data
+            row[:memory.shape[0]] = memory
         feed = np.empty((len(group), cfg.d_model),
                         dtype=np.result_type(self.sos.dtype, ad.default_dtype()))
         feed[:] = self.sos.data

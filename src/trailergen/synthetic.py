@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, asdict, fields, replace
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import ConfigurationError
+from .config import config_from_dict
 from .shots import ShotSequence, read_sequence, write_sequence
 
 ORDER_RULES = ("appeal_sorted", "cluster_interleave")
@@ -62,22 +63,11 @@ class GeneratorConfig:
         return self
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["n_range"] = list(self.n_range)
-        out["m_range"] = list(self.m_range)
-        return out
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, values: dict) -> "GeneratorConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(values) - known
-        if unknown:
-            raise ConfigurationError(f"unknown generator config keys: {sorted(unknown)}")
-        values = dict(values)
-        for key in ("n_range", "m_range"):
-            if key in values:
-                values[key] = tuple(int(v) for v in values[key])
-        return cls(**values).validate()
+        return config_from_dict(cls, values, "generator")
 
 
 def corpus_constants(cfg: GeneratorConfig):

@@ -12,14 +12,14 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, asdict, fields, replace
+from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ConfigurationError, NonFiniteError, Parameter
-from .config import ModelConfig
+from .config import ModelConfig, config_from_dict
 from .losses import (LossBreakdown, batched_kl_loss, batched_reconstruction_loss,
                      batched_trailerness_loss, total_loss)
 from .model import TrailerModel
@@ -27,6 +27,9 @@ from .shots import trailerness_ground_truth
 from .synthetic import PairExample
 
 _SHUFFLE_TAG = 3  # rng domain separator against model/generator streams
+
+# removed switch -> the value a checkpoint written before its removal holds
+RETIRED_TRAIN_KEYS = {"normalize_by_length": False}
 
 
 @dataclass(frozen=True)
@@ -44,7 +47,6 @@ class TrainConfig:
     clip_norm: float = 1.0        # <= 0 disables clipping
     seed: int = 0
     loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    normalize_by_length: bool = False
     checkpoint_every: int = 0     # epochs between mid-run checkpoints; 0 = final only
     use_conditions: bool = False  # feed stored condition sequences during training
 
@@ -71,20 +73,11 @@ class TrainConfig:
         return replace(self, total_steps=total, warmup_steps=warmup)
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["loss_weights"] = list(self.loss_weights)
-        return out
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, values: dict) -> "TrainConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(values) - known
-        if unknown:
-            raise ConfigurationError(f"unknown train config keys: {sorted(unknown)}")
-        values = dict(values)
-        if "loss_weights" in values:
-            values["loss_weights"] = tuple(float(w) for w in values["loss_weights"])
-        return cls(**values).validate()
+        return config_from_dict(cls, values, "train", RETIRED_TRAIN_KEYS)
 
 
 def lr_at_step(step: int, cfg: TrainConfig) -> float:
@@ -185,8 +178,7 @@ def pad_batch(examples: list[PairExample], gt_cache: dict | None = None,
                  gt_scores=gt, score_valid=ad.padding_mask(lengths, full))
 
 
-def batch_loss(model: TrailerModel, batch: Batch, weights=(1.0, 1.0, 1.0),
-               normalize: bool = False):
+def batch_loss(model: TrailerModel, batch: Batch, weights=(1.0, 1.0, 1.0)):
     """Forward pass over one batch; returns (loss tensor, breakdown)."""
     enc = model.encode_batch(batch.movies)
     memory, mem_valid = model.attach_condition(enc, batch.conditions)
@@ -194,10 +186,9 @@ def batch_loss(model: TrailerModel, batch: Batch, weights=(1.0, 1.0, 1.0),
         memory, mem_valid, batch.trailers)
     l_t = None
     if enc.scores is not None:
-        l_t = batched_trailerness_loss(enc.scores, batch.gt_scores,
-                                       batch.score_valid, normalize)
-    l_rec = batched_reconstruction_loss(preds, targets, row_valid, normalize)
-    l_kl = batched_kl_loss(preds, targets, row_valid, normalize)
+        l_t = batched_trailerness_loss(enc.scores, batch.gt_scores, batch.score_valid)
+    l_rec = batched_reconstruction_loss(preds, targets, row_valid)
+    l_kl = batched_kl_loss(preds, targets, row_valid)
     return total_loss(l_t, l_rec, l_kl, weights)
 
 
@@ -297,8 +288,7 @@ def train(examples: list[PairExample], cfg: TrainConfig, model_cfg: ModelConfig,
             chunk = [examples[i] for i in order[lo:lo + cfg.batch_size]]
             batch = pad_batch(chunk, gt_cache, use_conditions=cfg.use_conditions)
             try:
-                loss, breakdown = batch_loss(model, batch, weights,
-                                             cfg.normalize_by_length)
+                loss, breakdown = batch_loss(model, batch, weights)
                 model.zero_grad()
                 loss.backward()
             except NonFiniteError as err:

@@ -197,6 +197,33 @@ class TestTrain:
         assert rc == 2
         assert "corpus.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", [
+        "model.d_model=abc", "train.clip_norm=nan", "model.num_heads=0",
+        "model.ff_dim=0", "model.num_heads=-4", "model.condition_dim=-1",
+        "model.position_mode=learned", "train.normalize_by_length=true",
+    ])
+    def test_bad_config_value_exit_2(self, data_dir, tmp_path, capsys, setting):
+        rc = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "run"),
+                   "--set", "train.epochs=1"] + TINY_MODEL + ["--set", setting])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        key = setting.split("=")[0].split(".")[1]
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and key in lines[0]
+
+    def test_flags_override_config_entries(self, data_dir, tmp_path):
+        out = tmp_path / "flags"
+        rc = main(["train", "--data", str(data_dir), "--out", str(out),
+                   "--no-trailerness-encoder", "--no-context-encoder",
+                   "--seed", "3", "--epochs", "1",
+                   "--set", "train.epochs=5", "--set", "train.seed=9",
+                   "--set", "train.batch_size=4"] + TINY_MODEL)
+        assert rc == 0
+        ck = load_checkpoint(out / "model.ckpt")
+        assert not ck.model_config.use_trailerness_encoder
+        assert not ck.model_config.use_context_encoder
+        assert (ck.train_config.seed, ck.train_config.epochs) == (3, 1)
+
     def test_ablation_flag_zeroes_trailerness_loss(self, data_dir, tmp_path):
         out = tmp_path / "ablate"
         rc = main(["train", "--data", str(data_dir), "--out", str(out),

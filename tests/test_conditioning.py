@@ -19,66 +19,73 @@ def rng_movie(rng, n, d=16):
     return rng.normal(0.0, 0.3, size=(n, d)) + 0.5
 
 
+def all_valid(rows):
+    return np.ones((1, rows), dtype=bool)
+
+
+def augment(memory, cond, mode="encoded", **kw):
+    """``augment_context`` on a batch of one with every row valid."""
+    cond_valid = None if cond is None else all_valid(cond.shape[-2])
+    return augment_context(memory, cond, mode, memory_valid=all_valid(memory.shape[-2]),
+                           cond_valid=cond_valid, **kw)
+
+
 class TestAugmentContext:
     def test_encoded_mode_row_concatenates(self):
-        memory = Tensor(np.ones((5, 4)))
-        cond = Tensor(np.full((3, 4), 2.0))
-        merged, valid = augment_context(memory, cond, "encoded")
-        assert merged.shape == (8, 4)  # (n+2) + L_c rows
-        np.testing.assert_array_equal(merged.data[:5], 1.0)
-        np.testing.assert_array_equal(merged.data[5:], 2.0)
-        assert valid is None
+        memory = Tensor(np.ones((1, 5, 4)))
+        cond = Tensor(np.full((1, 3, 4), 2.0))
+        merged, valid = augment(memory, cond)
+        assert merged.shape == (1, 8, 4)  # (n+2) + L_c rows
+        np.testing.assert_array_equal(merged.data[0, :5], 1.0)
+        np.testing.assert_array_equal(merged.data[0, 5:], 2.0)
+        np.testing.assert_array_equal(valid, all_valid(8))
 
     def test_none_condition_is_pass_through(self):
-        memory = Tensor(np.ones((5, 4)))
-        merged, _ = augment_context(memory, None, "encoded")
+        memory = Tensor(np.ones((1, 5, 4)))
+        merged, valid = augment(memory, None)
         assert merged is memory
+        np.testing.assert_array_equal(valid, all_valid(5))
 
     def test_zero_length_condition_is_pass_through(self):
-        memory = Tensor(np.ones((5, 4)))
-        merged, _ = augment_context(memory, Tensor(np.zeros((0, 4))), "encoded")
+        memory = Tensor(np.ones((1, 5, 4)))
+        merged, _ = augment(memory, Tensor(np.zeros((1, 0, 4))))
         assert merged is memory
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            augment_context(Tensor(np.ones((2, 4))), Tensor(np.ones((1, 4))),
-                            "averaged")
+            augment(Tensor(np.ones((1, 2, 4))), Tensor(np.ones((1, 1, 4))), "averaged")
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            augment_context(Tensor(np.ones((2, 4))), Tensor(np.ones((1, 6))),
-                            "encoded")
+            augment(Tensor(np.ones((1, 2, 4))), Tensor(np.ones((1, 1, 6))))
 
     def test_rank_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            augment_context(Tensor(np.ones((2, 4))),
-                            Tensor(np.ones((1, 1, 4))), "encoded")
+        with pytest.raises(ShapeError):  # an unbatched [L, d] condition
+            augment(Tensor(np.ones((1, 2, 4))), Tensor(np.ones((1, 4))))
 
     def test_projection_maps_foreign_width(self):
         rng = np.random.default_rng(0)
         proj = Linear(6, 4, rng)
-        memory = Tensor(np.ones((2, 4)))
-        cond = Tensor(rng.normal(size=(3, 6)))
-        merged, _ = augment_context(memory, cond, "encoded", projection=proj)
-        assert merged.shape == (5, 4)
+        memory = Tensor(np.ones((1, 2, 4)))
+        cond = Tensor(rng.normal(size=(1, 3, 6)))
+        merged, _ = augment(memory, cond, projection=proj)
+        assert merged.shape == (1, 5, 4)
         expected = proj(Tensor(cond.data)).data
-        np.testing.assert_array_equal(merged.data[2:], expected)
+        np.testing.assert_array_equal(merged.data[:, 2:], expected)
 
     def test_contextualized_requires_extra_layer(self):
         with pytest.raises(ValueError):
-            augment_context(Tensor(np.ones((2, 4))), Tensor(np.ones((1, 4))),
-                            "contextualized")
+            augment(Tensor(np.ones((1, 2, 4))), Tensor(np.ones((1, 1, 4))), "contextualized")
 
     def test_contextualized_transforms_condition_rows(self):
         rng = np.random.default_rng(1)
         layer = EncoderLayer(4, 2, 8, rng)
-        memory = Tensor(np.ones((2, 4)))
-        cond_rows = rng.normal(size=(3, 4))
-        merged, _ = augment_context(memory, Tensor(cond_rows),
-                                    "contextualized", extra_layer=layer)
-        np.testing.assert_array_equal(merged.data[:2], 1.0)  # memory untouched
-        assert not np.allclose(merged.data[2:], cond_rows)  # cond transformed
-        np.testing.assert_allclose(merged.data[2:],
+        memory = Tensor(np.ones((1, 2, 4)))
+        cond_rows = rng.normal(size=(1, 3, 4))
+        merged, _ = augment(memory, Tensor(cond_rows), "contextualized", extra_layer=layer)
+        np.testing.assert_array_equal(merged.data[:, :2], 1.0)  # memory untouched
+        assert not np.allclose(merged.data[:, 2:], cond_rows)  # cond transformed
+        np.testing.assert_allclose(merged.data[:, 2:],
                                    layer(Tensor(cond_rows), None).data)
 
     def test_batched_concatenates_masks(self):
@@ -108,14 +115,14 @@ class TestModelConditioning:
         enc = model.encode_single(movie)
         memory, valid = model.attach_condition(enc, None)
         assert memory is enc.memory
-        memory, valid = model.attach_condition(enc, np.zeros((0, 16)))
+        memory, valid = model.attach_condition(enc, [np.zeros((0, 16))])
         assert memory is enc.memory
 
     def test_condition_mode_none_ignores_conditions(self):
         model = TrailerModel(BASE, seed=3)
         movie = rng_movie(np.random.default_rng(5), 7)
         enc = model.encode_single(movie)
-        memory, _ = model.attach_condition(enc, np.ones((4, 16)))
+        memory, _ = model.attach_condition(enc, [np.ones((4, 16))])
         assert memory is enc.memory
 
     def test_memory_length_is_frame_plus_condition_rows(self):
@@ -123,8 +130,9 @@ class TestModelConditioning:
         model = TrailerModel(cfg, seed=3)
         movie = rng_movie(np.random.default_rng(5), 7)
         enc = model.encode_single(movie)
-        memory, _ = model.attach_condition(enc, np.ones((4, 16)))
-        assert memory.shape == (7 + 2 + 4, 16)
+        memory, valid = model.attach_condition(enc, [np.ones((4, 16))])
+        assert memory.shape == (1, 7 + 2 + 4, 16)
+        assert valid.tolist() == [[True] * (7 + 2 + 4)]
 
     def test_condition_changes_generation(self):
         cfg = with_overrides(BASE, condition_mode="encoded")
@@ -173,15 +181,15 @@ class TestModelConditioning:
         model = TrailerModel(cfg, seed=3)
         movie = rng_movie(np.random.default_rng(5), 7)
         enc = model.encode_single(movie)
-        memory, _ = model.attach_condition(enc, np.ones((4, 8)))
-        assert memory.shape == (13, 16)
+        memory, _ = model.attach_condition(enc, [np.ones((4, 8))])
+        assert memory.shape == (1, 13, 16)
 
     def test_width_mismatch_rejected(self):
         cfg = with_overrides(BASE, condition_mode="encoded")  # expects d=16
         model = TrailerModel(cfg, seed=3)
         enc = model.encode_single(rng_movie(np.random.default_rng(5), 7))
         with pytest.raises(ShapeError):
-            model.attach_condition(enc, np.ones((4, 8)))
+            model.attach_condition(enc, [np.ones((4, 8))])
 
     def test_batched_condition_count_must_match(self):
         cfg = with_overrides(BASE, condition_mode="encoded")
@@ -238,7 +246,7 @@ class TestModelConditioning:
                 memory, valid, trailers)
 
             enc0 = model.encode_single(movies[0])
-            mem0, _ = model.attach_condition(enc0, conds[0])
+            mem0, _ = model.attach_condition(enc0, [conds[0]])
             solo = model.decode_teacher_forced(mem0, trailers[0])
             rows = trailers[0].shape[0] + 1
             np.testing.assert_allclose(preds.data[0, :rows], solo.data,

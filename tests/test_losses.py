@@ -1,5 +1,5 @@
 """Loss definitions: hand-computed values, oracle comparisons, the weighted
-total, and batched variants matching their unbatched counterparts."""
+total, and the padding masks."""
 
 import numpy as np
 import pytest
@@ -9,15 +9,38 @@ from hypothesis import strategies as st
 import oracles
 from trailergen import autodiff as ad
 from trailergen.autodiff import ShapeError, Tensor
-from trailergen.losses import (LossBreakdown, append_eos_row, batched_kl_loss,
+from trailergen.config import ModelConfig
+from trailergen.losses import (LossBreakdown, batched_kl_loss,
                                batched_reconstruction_loss, batched_trailerness_loss,
-                               kl_loss, reconstruction_loss, total_loss,
-                               trailerness_loss)
+                               total_loss)
+from trailergen.model import TrailerModel
 
 
 def t64(data, requires_grad=False):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=requires_grad,
                   dtype=np.float64)
+
+
+def one(rows):
+    """``rows`` as a batch of one: ([1, ...] tensor, [1, T] all-valid mask)."""
+    arr = np.asarray(rows, dtype=np.float64)[None]
+    return t64(arr), np.ones(arr.shape[:2], dtype=bool)
+
+
+def trailerness(pred, gt):
+    p, valid = one(pred)
+    return batched_trailerness_loss(p, np.asarray(gt, dtype=np.float64)[None], valid)
+
+
+def reconstruction(pred, target, eos):
+    """Rows predict the trailer shots, then EOS (one pair)."""
+    p, valid = one(pred)
+    return batched_reconstruction_loss(p, one(np.vstack([target, eos]))[0], valid)
+
+
+def kl(pred, target, eos):
+    p, valid = one(pred)
+    return batched_kl_loss(p, one(np.vstack([target, eos]))[0], valid)
 
 
 # ---------------------------------------------------------------------------
@@ -26,29 +49,26 @@ def t64(data, requires_grad=False):
 
 def test_trailerness_zero_when_equal():
     gt = np.array([0.0, 0.7, 0.2, 0.0])
-    assert trailerness_loss(t64(gt), t64(gt)).item() == 0.0
+    assert trailerness(gt, gt).item() == 0.0
 
 
 def test_trailerness_hand_value():
-    pred = t64([0.0, 1.0, 0.0])
-    gt = t64([0.0, 0.0, 0.5])
-    assert trailerness_loss(pred, gt).item() == pytest.approx(1.25, abs=1e-12)
+    assert trailerness([0.0, 1.0, 0.0], [0.0, 0.0, 0.5]).item() == pytest.approx(
+        1.25, abs=1e-12)
 
 
 def test_trailerness_sums_not_means():
     # duplicating every position doubles the value
-    pred = t64([0.2, 0.9])
-    gt = t64([0.0, 1.0])
-    single = trailerness_loss(pred, gt).item()
-    double = trailerness_loss(t64([0.2, 0.9, 0.2, 0.9]), t64([0.0, 1.0, 0.0, 1.0])).item()
+    single = trailerness([0.2, 0.9], [0.0, 1.0]).item()
+    double = trailerness([0.2, 0.9, 0.2, 0.9], [0.0, 1.0, 0.0, 1.0]).item()
     assert double == pytest.approx(2 * single, rel=1e-12)
 
 
 def test_trailerness_shape_mismatch():
     with pytest.raises(ShapeError):
-        trailerness_loss(t64([0.1, 0.2]), t64([0.1, 0.2, 0.3]))
+        trailerness([0.1, 0.2], [0.1, 0.2, 0.3])
     with pytest.raises(ShapeError):
-        trailerness_loss(t64([[0.1]]), t64([[0.1]]))
+        batched_trailerness_loss(t64([[0.1]]), np.array([0.1]), np.ones((1, 1), dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -57,58 +77,53 @@ def test_trailerness_shape_mismatch():
 
 def test_reconstruction_zero_when_rows_match():
     rows = np.array([[0.3, -0.2], [1.0, 0.5]])
-    eos = t64([0.9, 0.1])
-    pred = t64(np.vstack([rows, [[0.9, 0.1]]]))
-    assert reconstruction_loss(pred, rows, eos).item() == pytest.approx(0.0, abs=1e-15)
+    eos = [0.9, 0.1]
+    pred = np.vstack([rows, [eos]])
+    assert reconstruction(pred, rows, eos).item() == pytest.approx(0.0, abs=1e-15)
 
 
 def test_reconstruction_single_position_hand_value():
     # one trailer shot in d=2: prediction (1,0) against target (0,1) costs 2
-    eos = t64([0.5, 0.5])
-    pred = t64([[1.0, 0.0], [0.5, 0.5]])  # EOS row reproduced exactly
-    loss = reconstruction_loss(pred, np.array([[0.0, 1.0]]), eos)
+    pred = [[1.0, 0.0], [0.5, 0.5]]  # EOS row reproduced exactly
+    loss = reconstruction(pred, [[0.0, 1.0]], [0.5, 0.5])
     assert loss.item() == pytest.approx(2.0, abs=1e-12)
 
 
 def test_reconstruction_quadruples_when_error_doubles():
-    eos = t64([0.0, 0.0, 1.0])
+    eos = [0.0, 0.0, 1.0]
     target = np.array([[1.0, 0.0, 0.0]])
-    base = np.vstack([[1.1, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    far = np.vstack([[1.2, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    l1 = reconstruction_loss(t64(base), target, eos).item()
-    l2 = reconstruction_loss(t64(far), target, eos).item()
+    l1 = reconstruction([[1.1, 0.0, 0.0], eos], target, eos).item()
+    l2 = reconstruction([[1.2, 0.0, 0.0], eos], target, eos).item()
     assert l2 == pytest.approx(4 * l1, rel=1e-9)
 
 
 def test_reconstruction_includes_eos_row():
-    eos = t64([1.0, 0.0])
-    target = np.array([[0.0, 1.0]])
-    pred = t64([[0.0, 1.0], [0.0, 0.0]])  # misses the EOS target by (1,0)
-    assert reconstruction_loss(pred, target, eos).item() == pytest.approx(1.0, abs=1e-12)
+    pred = [[0.0, 1.0], [0.0, 0.0]]  # misses the EOS target by (1,0)
+    assert reconstruction(pred, [[0.0, 1.0]], [1.0, 0.0]).item() == pytest.approx(
+        1.0, abs=1e-12)
 
 
 def test_reconstruction_gradient_reaches_eos_parameter():
-    eos = Tensor(np.array([0.2, -0.3]), requires_grad=True, dtype=np.float64)
-    pred = t64([[0.1, 0.1], [0.0, 0.0]], requires_grad=True)
-    loss = reconstruction_loss(pred, np.array([[0.0, 0.0]]), eos)
-    loss.backward()
-    # d/d_eos of (pred_last - eos)^2 = -2 (pred_last - eos) = 2 (eos - pred_last)
-    np.testing.assert_allclose(eos.grad, 2 * (eos.data - pred.data[1]), atol=1e-12)
-
-
-def test_append_eos_row_shapes():
-    eos = t64([1.0, 2.0])
-    out = append_eos_row(np.zeros((3, 2)), eos)
-    assert out.shape == (4, 2)
-    np.testing.assert_array_equal(out.data[3], [1.0, 2.0])
-    with pytest.raises(ShapeError):
-        append_eos_row(np.zeros(3), eos)
+    # EOS is the last target row of every pair; with a constant memory and
+    # decoder inputs SOS + trailer, that row is EOS's only way into the loss
+    cfg = ModelConfig(d_model=4, num_heads=2, ff_dim=8, trailerness_layers=1,
+                      context_layers=1, decoder_layers=1, max_len=8)
+    with ad.precision(np.float64):
+        model = TrailerModel(cfg, seed=0)
+        trailer = np.random.default_rng(3).normal(size=(2, 4))
+        memory = t64(np.ones((1, 3, 4)))
+        preds, targets, valid = model.decode_teacher_forced_batch(memory, None, [trailer])
+        model.zero_grad()
+        batched_reconstruction_loss(preds, targets, valid).backward()
+    # d/d_eos of |pred_last - eos|^2 = 2 (eos - pred_last)
+    np.testing.assert_allclose(model.eos.grad, 2 * (model.eos.data - preds.data[0, 2]),
+                               atol=1e-12)
 
 
 def test_reconstruction_shape_mismatch():
-    eos = t64([0.0, 0.0])
-    with pytest.raises(ShapeError):
-        reconstruction_loss(t64(np.zeros((2, 2))), np.zeros((2, 2)), eos)  # needs m+1 rows
+    with pytest.raises(ShapeError):  # m shots need m+1 prediction rows
+        batched_reconstruction_loss(t64(np.zeros((1, 2, 2))), t64(np.zeros((1, 3, 2))),
+                                    np.ones((1, 2), dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -117,17 +132,17 @@ def test_reconstruction_shape_mismatch():
 
 def test_kl_zero_for_identical_rows():
     rows = np.array([[0.4, -1.0, 2.0]])
-    eos = t64([0.0, 0.0, 0.0])
-    pred = t64(np.vstack([rows, np.zeros((1, 3))]))
-    assert kl_loss(pred, rows, eos).item() == pytest.approx(0.0, abs=1e-12)
+    eos = [0.0, 0.0, 0.0]
+    pred = np.vstack([rows, np.zeros((1, 3))])
+    assert kl(pred, rows, eos).item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_kl_shift_invariance_of_rows():
     # softmax ignores a constant shift, so shifted predictions cost nothing
     rows = np.array([[0.5, 1.5, -0.5]])
-    eos = t64([1.0, 1.0, 1.0])
-    pred = t64(np.vstack([rows + 7.0, [[4.0, 4.0, 4.0]]]))
-    assert kl_loss(pred, rows, eos).item() == pytest.approx(0.0, abs=1e-10)
+    eos = [1.0, 1.0, 1.0]
+    pred = np.vstack([rows + 7.0, [[4.0, 4.0, 4.0]]])
+    assert kl(pred, rows, eos).item() == pytest.approx(0.0, abs=1e-10)
 
 
 def test_kl_matches_oracle_row_sum():
@@ -136,7 +151,7 @@ def test_kl_matches_oracle_row_sum():
     eos = rng.normal(size=5)
     pred = rng.normal(size=(4, 5))
     with ad.precision(np.float64):
-        got = kl_loss(t64(pred), target, t64(eos)).item()
+        got = kl(pred, target, eos).item()
     rows = np.vstack([target, eos])
     want = sum(oracles.kl_between_rows(rows[j], pred[j]) for j in range(4))
     assert got == pytest.approx(want, rel=1e-10)
@@ -146,9 +161,9 @@ def test_kl_nonnegative():
     rng = np.random.default_rng(9)
     for _ in range(20):
         target = rng.normal(size=(2, 4))
-        pred = t64(rng.normal(size=(3, 4)))
-        eos = t64(rng.normal(size=4))
-        assert kl_loss(pred, target, eos).item() >= -1e-12
+        pred = rng.normal(size=(3, 4))
+        eos = rng.normal(size=4)
+        assert kl(pred, target, eos).item() >= -1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +205,7 @@ def test_total_loss_breakdown_reports_unweighted_components():
 
 
 # ---------------------------------------------------------------------------
-# batched variants
+# padded batches
 # ---------------------------------------------------------------------------
 
 def _padded_batch(rng, lengths, d):
@@ -254,26 +269,9 @@ def test_batched_trailerness_matches_unbatched_mean():
     pred = t64(np.stack(preds))
     gt = np.stack(gts)
     got = batched_trailerness_loss(pred, gt, np.stack(valid)).item()
-    want = np.mean([trailerness_loss(t64(preds[b][:n + 2]), t64(gts[b][:n + 2])).item()
+    want = np.mean([float(((preds[b][:n + 2] - gts[b][:n + 2]) ** 2).sum())
                     for b, n in enumerate(lengths)])
     assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_batch_of_one_equals_unbatched():
-    rng = np.random.default_rng(13)
-    m, d = 4, 5
-    target = rng.normal(size=(m, d))
-    eos = rng.normal(size=d)
-    pred = rng.normal(size=(m + 1, d))
-    rows = np.vstack([target, eos])
-    valid = np.ones((1, m + 1), dtype=bool)
-    with ad.precision(np.float64):
-        rec_b = batched_reconstruction_loss(t64(pred[None]), t64(rows[None]), valid).item()
-        rec_u = reconstruction_loss(t64(pred), target, t64(eos)).item()
-        kl_b = batched_kl_loss(t64(pred[None]), t64(rows[None]), valid).item()
-        kl_u = kl_loss(t64(pred), target, t64(eos)).item()
-    assert rec_b == pytest.approx(rec_u, abs=1e-9)
-    assert kl_b == pytest.approx(kl_u, abs=1e-9)
 
 
 def test_padding_contributes_nothing_to_value_or_gradient():
@@ -300,14 +298,6 @@ def test_batched_losses_permutation_invariant():
     rev = batched_reconstruction_loss(
         t64(pred.data[perm]), t64(rows.data[perm]), valid[perm]).item()
     assert fwd == pytest.approx(rev, rel=1e-12)
-
-
-def test_normalize_divides_by_valid_count():
-    rng = np.random.default_rng(16)
-    pred, rows, valid = _padded_batch(rng, [3], 4)
-    raw = batched_reconstruction_loss(pred, rows, valid).item()
-    norm = batched_reconstruction_loss(pred, rows, valid, normalize=True).item()
-    assert norm == pytest.approx(raw / 4.0, rel=1e-12)  # m+1 = 4 valid rows
 
 
 def test_batched_shape_mismatch():

@@ -54,6 +54,30 @@ def test_config_round_trip_through_dict():
         ModelConfig.from_dict({"d_model": 8, "nonsense": 1})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("num_heads", 0), ("num_heads", -4), ("ff_dim", 0), ("condition_dim", -1)])
+def test_config_counts_checked_before_use(field, value):
+    # num_heads=0 used to divide by zero, and -4 to fail in a square root
+    with pytest.raises(ConfigurationError, match=f"{field} must be"):
+        ModelConfig(**{field: value}).validate()
+
+
+def test_config_from_dict_retired_keys_and_types():
+    old = {**small_cfg().to_dict(), "position_mode": "sinusoidal",
+           "score_fusion": "broadcast", "stop_score_gradient": False}
+    assert ModelConfig.from_dict(old) == small_cfg()
+    for key, value in (("position_mode", "learned"), ("score_fusion", "projected"),
+                       ("stop_score_gradient", True), ("stop_score_gradient", 0)):
+        with pytest.raises(ConfigurationError, match=key):
+            ModelConfig.from_dict({**old, key: value})
+    for key, value in (("d_model", "abc"), ("d_model", 8.0), ("pre_norm", "yes"),
+                       ("eos_threshold", "high"), ("eos_threshold", float("inf")),
+                       ("eos_rule", 1)):
+        with pytest.raises(ConfigurationError, match=key):
+            ModelConfig.from_dict({key: value})
+    assert ModelConfig.from_dict({"eos_threshold": 1}).eos_threshold == 1.0
+
+
 def test_presets_exist_and_validate():
     assert preset("desk").validate().d_model == 64
     assert preset("paper").d_model == 1024
@@ -84,14 +108,6 @@ def test_parameter_names_reflect_module_tree():
     assert "sos" in names and "eos" in names
     assert any(name.startswith("decoder.layers.0.") for name in names)
     assert any(name.startswith("trailerness.head.") for name in names)
-
-
-def test_learned_positions_are_parameters():
-    model = TrailerModel(small_cfg(position_mode="learned"), seed=0)
-    assert model.pos_table is not None
-    assert model.pos_table.data.shape == (34, 8)
-    names = {name for name, _ in model.named_parameters()}
-    assert "pos_table" in names
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +149,7 @@ def test_encode_batch_matches_encode_single_on_valid_rows():
     model = TrailerModel(small_cfg(), seed=3)
     movies = [_movie(3, seed=4), _movie(6, seed=5)]
     with ad.precision(np.float64):
-        single = [model.encode_single(m).memory.data for m in movies]
+        single = [model.encode_single(m).memory.data[0] for m in movies]
         batched = model.encode_batch(movies)
     for b, m in enumerate(movies):
         L = m.shape[0] + 2
@@ -144,7 +160,7 @@ def test_accepts_shot_sequences_as_input():
     model = TrailerModel(small_cfg(), seed=3)
     seq = ShotSequence("m", _movie(4, seed=6), "movie")
     enc = model.encode_single(seq)
-    assert enc.memory.shape == (6, 8)
+    assert enc.memory.shape == (1, 6, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +239,9 @@ def test_generate_consistent_with_full_prefix_rerun():
     with ad.no_grad():
         enc = model.encode_single(movie)
         rows = np.vstack([model.sos.data[None, :], dec.embeddings[:-1]])
-        x = ad.add(Tensor(rows), model.positional_rows(rows.shape[0]))
+        x = ad.add(Tensor(rows[None]), model.positional_rows(rows.shape[0]))
         out = model.decoder(x, enc.memory, ad.causal_mask(rows.shape[0]), None)
-    np.testing.assert_allclose(np.asarray(out.data), dec.embeddings, atol=1e-5)
+    np.testing.assert_allclose(np.asarray(out.data[0]), dec.embeddings, atol=1e-5)
 
 
 def test_generate_feedback_mode_changes_later_steps():
@@ -469,7 +485,7 @@ def test_cached_decode_feeds_one_row_per_sequence_per_step(monkeypatch):
     assert steps == [3, 5, 4]
     assert len(calls) == max(steps)                      # one decoder call per step
     with ad.no_grad():
-        memories = [model.encode_single(m).memory.data for m in movies]
+        memories = [model.encode_single(m).memory.data[0] for m in movies]
     for step, (shape, memory) in enumerate(calls, start=1):
         active = [i for i, s in enumerate(steps) if s >= step]
         assert shape == (len(active), 1, cfg.d_model)    # one new row per active sequence

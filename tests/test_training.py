@@ -1,17 +1,18 @@
 """Tests for the optimization loop: schedule, optimizer, batching,
 checkpointing, and deterministic resume."""
 
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
+import oracles
 from trailergen import autodiff as ad
 from trailergen import training
 from trailergen.autodiff import ConfigurationError, Parameter
 from trailergen.config import ModelConfig, with_overrides
-from trailergen.losses import (kl_loss, reconstruction_loss, total_loss,
-                               trailerness_loss)
 from trailergen.model import TrailerModel
 from trailergen.shots import trailerness_ground_truth
 from trailergen.synthetic import GeneratorConfig, PairExample, generate_pair
@@ -168,14 +169,16 @@ class TestClipGradients:
 # --------------------------------------------------------------------------
 
 def unbatched_loss(model, ex, weights=(1.0, 1.0, 1.0)):
+    """One pair's total loss, summed in plain numpy from its batch-of-one
+    forward pass, with no padding anywhere."""
     enc = model.encode_single(ex.movie.embeddings)
-    preds = model.decode_teacher_forced(enc.memory, ex.trailer.embeddings)
+    preds = model.decode_teacher_forced(enc.memory, ex.trailer.embeddings).data
     gt = trailerness_ground_truth(ex.movie.embeddings, ex.trailer.embeddings)
-    l_t = trailerness_loss(enc.scores, gt)
-    l_rec = reconstruction_loss(preds, ex.trailer.embeddings, model.eos)
-    l_kl = kl_loss(preds, ex.trailer.embeddings, model.eos)
-    loss, breakdown = total_loss(l_t, l_rec, l_kl, weights)
-    return float(loss.data)
+    rows = np.vstack([ex.trailer.embeddings, model.eos.data])
+    l_t = float(((enc.scores.data[0] - gt) ** 2).sum())
+    l_rec = float(((preds - rows) ** 2).sum())
+    l_kl = sum(oracles.kl_between_rows(r, p) for r, p in zip(rows, preds))
+    return float(np.dot(weights, [l_t, l_rec, l_kl]))
 
 
 class TestPadBatch:
@@ -356,6 +359,24 @@ class TestTrainConfig:
         with pytest.raises(ConfigurationError):
             TrainConfig.from_dict({"learning_rate": 1e-4})
 
+    @pytest.mark.parametrize("values, key", [
+        ({"clip_norm": "nan"}, "clip_norm"),
+        ({"clip_norm": float("nan")}, "clip_norm"),
+        ({"epochs": 2.5}, "epochs"),
+        ({"batch_size": True}, "batch_size"),
+        ({"use_conditions": 1}, "use_conditions"),
+        ({"loss_weights": "1,1,1"}, "loss_weights"),
+        ({"loss_weights": [1.0, "x", 1.0]}, "loss_weights"),
+    ])
+    def test_from_dict_rejects_wrong_types(self, values, key):
+        with pytest.raises(ConfigurationError, match=key):
+            TrainConfig.from_dict(values)
+
+    def test_from_dict_takes_integers_for_floats(self):
+        cfg = TrainConfig.from_dict({"clip_norm": 0, "loss_weights": [1, 2, 3]})
+        assert cfg.clip_norm == 0.0 and isinstance(cfg.clip_norm, float)
+        assert cfg.loss_weights == (1.0, 2.0, 3.0)
+
 
 # --------------------------------------------------------------------------
 # the training loop
@@ -510,6 +531,49 @@ class TestCheckpoint:
         clipped.write_bytes(raw[:-8])
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(clipped)
+
+    @staticmethod
+    def _with_header_entries(path, model_entries, train_entries):
+        """Rewrite a checkpoint's JSON header with extra config entries."""
+        raw = path.read_bytes()
+        head_len = struct.unpack("<I", raw[8:12])[0]
+        header = json.loads(raw[12:12 + head_len])
+        header["model_config"].update(model_entries)
+        header["train_config"].update(train_entries)
+        head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        path.write_bytes(raw[:8] + struct.pack("<I", len(head)) + head + raw[12 + head_len:])
+
+    def test_retired_switches_at_their_old_defaults_load(self, tmp_path):
+        # headers written before the switches were removed carry them
+        pairs = tiny_pairs(1)
+        cfg = TrainConfig(epochs=1, batch_size=1, lr_peak=1e-3, seed=2)
+        result = train(pairs, cfg, SLIM, out_dir=tmp_path)
+        path = result.checkpoint_path
+        self._with_header_entries(
+            path, {"position_mode": "sinusoidal", "score_fusion": "broadcast",
+                   "stop_score_gradient": False}, {"normalize_by_length": False})
+        ck = load_checkpoint(path)
+        assert ck.model_config == SLIM
+        assert ck.train_config == result.config
+        model, _ = restore_model_and_optimizer(ck)
+        for (name, p), (_, q) in zip(model.named_parameters(),
+                                     result.model.named_parameters()):
+            np.testing.assert_array_equal(p.data, q.data, err_msg=name)
+
+    @pytest.mark.parametrize("model_entries, train_entries, key", [
+        ({"position_mode": "learned"}, {}, "position_mode"),
+        ({"score_fusion": "projected"}, {}, "score_fusion"),
+        ({"stop_score_gradient": True}, {}, "stop_score_gradient"),
+        ({}, {"normalize_by_length": True}, "normalize_by_length"),
+    ])
+    def test_retired_switch_set_otherwise_rejected(self, tmp_path, model_entries,
+                                                   train_entries, key):
+        pairs = tiny_pairs(1)
+        cfg = TrainConfig(epochs=1, batch_size=1, lr_peak=1e-3, seed=2)
+        path = train(pairs, cfg, SLIM, out_dir=tmp_path).checkpoint_path
+        self._with_header_entries(path, model_entries, train_entries)
+        with pytest.raises(ConfigurationError, match=key):
+            load_checkpoint(path)
 
     def test_parameter_mismatch_rejected(self, tmp_path):
         pairs = tiny_pairs(1)
