@@ -9,7 +9,6 @@ from .autodiff import (ConfigurationError, DomainError, NonFiniteError,
                        Parameter, ShapeError, Tensor, grad_check, no_grad,
                        precision)
 from .config import ModelConfig, PRESETS, preset, with_overrides
-from .conditioning import augment_context
 from .decoder import DecodedTrailer, detect_eos, match_nearest, match_similarities
 from .encoder import ContextEncoder, TrailernessEncoder, fuse_trailerness
 from .gradcheck import gradcheck_suite

@@ -46,13 +46,9 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "neg",
-    "power",
     "exp",
-    "log",
     "matmul",
     "tensor_sum",
-    "tensor_mean",
     "reshape",
     "transpose",
     "concat",
@@ -66,7 +62,6 @@ __all__ = [
     "padding_mask",
     "multi_head_attention",
     "grad_check",
-    "GradCheckEntry",
     "GradCheckReport",
 ]
 
@@ -300,41 +295,16 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor) or not np.isscalar(other):
-            raise TypeError("tensor division is only supported by scalars")
-        return mul(self, 1.0 / float(other))
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
 
     def __matmul__(self, other):
         return matmul(self, other)
 
     def __getitem__(self, idx):
         return _getitem(self, idx)
-
-    def sum(self, axis=None, keepdims=False):
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tensor_mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
 
 
 class Parameter(Tensor):
@@ -377,10 +347,6 @@ class Module:
                 p.grad = np.zeros_like(p.data)
             else:
                 p.grad.fill(0.0)
-
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
-
 
 def as_tensor(value) -> Tensor:
     """Wrap a value as a constant Tensor (pass-through if already a Tensor)."""
@@ -461,29 +427,6 @@ def mul(a, b) -> Tensor:
     return _make(data, (a, b), backward, "mul")
 
 
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(-g)
-
-    return _make(-a.data, (a,), backward, "neg")
-
-
-def power(a, exponent: float) -> Tensor:
-    """Elementwise ``a ** exponent`` for a fixed scalar exponent."""
-    a = as_tensor(a)
-    e = float(exponent)
-    data = a.data ** e
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * e * a.data ** (e - 1.0))
-
-    return _make(data, (a,), backward, "power")
-
-
 def exp(a) -> Tensor:
     a = as_tensor(a)
     data = np.exp(a.data)
@@ -493,19 +436,6 @@ def exp(a) -> Tensor:
             a._accumulate(g * data)
 
     return _make(data, (a,), backward, "exp")
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    if np.any(a.data <= 0):
-        raise DomainError("log requires strictly positive inputs")
-    data = np.log(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g / a.data)
-
-    return _make(data, (a,), backward, "log")
 
 
 def matmul(a, b) -> Tensor:
@@ -541,18 +471,6 @@ def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
         a._accumulate(np.broadcast_to(gg, a.shape).astype(a.data.dtype, copy=False))
 
     return _make(data, (a,), backward, "sum")
-
-
-def tensor_mean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    if axis is None:
-        count = a.size
-    else:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        count = 1
-        for ax in axes:
-            count *= a.shape[ax]
-    return mul(tensor_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
 def reshape(a, shape) -> Tensor:
@@ -824,36 +742,34 @@ def multi_head_attention(q, k, v, num_heads: int, mask: np.ndarray | None = None
 
 
 @dataclass
-class GradCheckEntry:
-    """Per-tensor result of a finite-difference comparison."""
-
-    name: str
-    max_rel_error: float
-    num_checked: int
-    num_failed: int
-
-
-@dataclass
 class GradCheckReport:
+    """Finite-difference results as ``(name, max_rel_error, checked, failures)``
+    entries.  ``grad_check`` makes one entry per tensor, where ``checked``
+    counts its entries; ``gradcheck.gradcheck_suite`` makes one per named
+    check, where ``checked`` counts the seeds it ran."""
+
     entries: list = field(default_factory=list)
     tolerance: float = 1e-4
+    elapsed_seconds: float = 0.0
 
     @property
     def ok(self) -> bool:
-        return all(e.num_failed == 0 for e in self.entries)
+        return all(failures == 0 for *_, failures in self.entries)
 
     @property
     def max_rel_error(self) -> float:
-        return max((e.max_rel_error for e in self.entries), default=0.0)
+        return max((error for _, error, _, _ in self.entries), default=0.0)
 
-    def summary(self) -> str:
-        lines = [
-            f"{'PASS' if e.num_failed == 0 else 'FAIL'} {e.name}: "
-            f"max_rel_err={e.max_rel_error:.3e} ({e.num_checked} entries)"
-            for e in self.entries
-        ]
-        lines.append(f"overall: {'PASS' if self.ok else 'FAIL'} "
-                     f"(max_rel_err={self.max_rel_error:.3e}, tol={self.tolerance:.1e})")
+    def table(self) -> str:
+        """The suite's table: one row per check, then the overall verdict."""
+        width = max((len(name) for name, *_ in self.entries), default=4)
+        lines = [f"{'check'.ljust(width)}  status  max_rel_error  seeds"]
+        for name, error, checked, failures in self.entries:
+            status = "PASS" if failures == 0 else "FAIL"
+            lines.append(f"{name.ljust(width)}  {status}    {error:.3e}      {checked}")
+        verdict = "PASS" if self.ok else "FAIL"
+        lines.append(f"overall: {verdict} (max_rel_error={self.max_rel_error:.3e}, "
+                     f"tol={self.tolerance:.1e}, {self.elapsed_seconds:.1f}s)")
         return "\n".join(lines)
 
 
@@ -905,5 +821,5 @@ def grad_check(f, tensors, h: float = 1e-5, tol: float = 1e-4, names=None) -> Gr
                 rel = abs(ref - numeric) / max(1.0, abs(ref))
                 worst = max(worst, rel)
                 failed += rel > tol
-            report.entries.append(GradCheckEntry(name, worst, flat.size, failed))
+            report.entries.append((name, worst, flat.size, failed))
     return report

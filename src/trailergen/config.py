@@ -12,10 +12,11 @@ from .autodiff import ConfigurationError
 EOS_RULES = ("margin", "threshold")
 CONDITION_MODES = ("none", "encoded", "contextualized")
 
-# Switches that were removed, with the value a config saved before their
-# removal holds when it used the behaviour the code still has.
+# Keys that were removed, with the value a config saved before their removal
+# holds when it used the behaviour the code still has (layer norm's epsilon
+# is fixed at 1e-5).
 RETIRED_MODEL_KEYS = {"position_mode": "sinusoidal", "score_fusion": "broadcast",
-                      "stop_score_gradient": False}
+                      "stop_score_gradient": False, "layer_norm_eps": 1e-5}
 
 _KINDS = {bool: "true or false", int: "an integer", float: "a finite number",
           str: "a string", tuple: "a list"}
@@ -77,7 +78,6 @@ class ModelConfig:
     no_repeat: bool = False      # forbid selecting the same movie shot twice
     condition_mode: str = "none"
     condition_dim: int = 0       # 0 means same as d_model (no projection needed)
-    layer_norm_eps: float = 1e-5
 
     def validate(self) -> "ModelConfig":
         if self.d_model <= 0 or self.d_model % 2 != 0:

@@ -18,7 +18,7 @@ import numpy as np
 from .autodiff import ConfigurationError, DomainError, Module, ShapeError, Tensor, grad_enabled
 from .config import ModelConfig
 from .layers import DecoderLayer
-from .shots import ShotSequence, cosine_similarity
+from .shots import as_embedding_array, cosine_similarity
 
 
 class SelfAttentionCache:
@@ -69,7 +69,7 @@ class DecoderStack(Module):
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         self.layers = [
             DecoderLayer(cfg.d_model, cfg.num_heads, cfg.ff_dim, rng,
-                         pre_norm=cfg.pre_norm, eps=cfg.layer_norm_eps)
+                         pre_norm=cfg.pre_norm)
             for _ in range(cfg.decoder_layers)
         ]
 
@@ -141,7 +141,7 @@ def match_nearest(embedding, movie, k: int = 1,
     ``exclude`` removes already-used indices from consideration (the
     no-repeat decoding variant); k then applies to the remaining pool.
     """
-    shots = movie.embeddings if isinstance(movie, ShotSequence) else np.asarray(movie)
+    shots = as_embedding_array(movie)
     n = shots.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside [1, {n}]")
@@ -157,7 +157,7 @@ def match_nearest(embedding, movie, k: int = 1,
 
 
 def match_similarities(embedding, movie, indices: list[int]) -> list[float]:
-    shots = movie.embeddings if isinstance(movie, ShotSequence) else np.asarray(movie)
+    shots = as_embedding_array(movie)
     sims = _cosine_row(embedding, shots)
     return [float(sims[i - 1]) for i in indices]
 
@@ -169,7 +169,7 @@ def detect_eos(embedding, eos_vector, movie, rule: str = "margin",
     "margin": the embedding is closer to EOS than to every movie shot.
     "threshold": cosine to EOS exceeds a fixed cutoff regardless of the movie.
     """
-    shots = movie.embeddings if isinstance(movie, ShotSequence) else np.asarray(movie)
+    shots = as_embedding_array(movie)
     eos_sim = cosine_similarity(np.asarray(embedding, dtype=np.float64),
                                 np.asarray(eos_vector, dtype=np.float64))
     if rule == "threshold":

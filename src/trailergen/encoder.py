@@ -22,7 +22,7 @@ class TrailernessEncoder(Module):
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         self.layers = [
             EncoderLayer(cfg.d_model, cfg.num_heads, cfg.ff_dim, rng,
-                         pre_norm=cfg.pre_norm, eps=cfg.layer_norm_eps)
+                         pre_norm=cfg.pre_norm)
             for _ in range(cfg.trailerness_layers)
         ]
         self.head = Linear(cfg.d_model, 1, rng)
@@ -52,7 +52,7 @@ class ContextEncoder(Module):
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         self.layers = [
             EncoderLayer(cfg.d_model, cfg.num_heads, cfg.ff_dim, rng,
-                         pre_norm=cfg.pre_norm, eps=cfg.layer_norm_eps)
+                         pre_norm=cfg.pre_norm)
             for _ in range(cfg.context_layers)
         ]
 

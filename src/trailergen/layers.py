@@ -33,25 +33,21 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
 
 
 class Linear(Module):
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, bias: bool = True):
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         self.weight = Parameter(xavier_uniform(rng, in_dim, out_dim))
-        self.bias = Parameter(np.zeros(out_dim)) if bias else None
+        self.bias = Parameter(np.zeros(out_dim))
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = ad.matmul(x, self.weight)
-        if self.bias is not None:
-            out = ad.add(out, self.bias)
-        return out
+        return ad.add(ad.matmul(x, self.weight), self.bias)
 
 
 class LayerNorm(Module):
-    def __init__(self, d: int, eps: float = 1e-5):
+    def __init__(self, d: int):
         self.gamma = Parameter(np.ones(d))
         self.beta = Parameter(np.zeros(d))
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.layer_norm(x, self.gamma, self.beta, eps=self.eps)
+        return ad.layer_norm(x, self.gamma, self.beta)
 
 
 class FeedForward(Module):
@@ -93,11 +89,11 @@ class EncoderLayer(Module):
     """
 
     def __init__(self, d: int, num_heads: int, ff_dim: int, rng: np.random.Generator,
-                 pre_norm: bool = False, eps: float = 1e-5):
+                 pre_norm: bool = False):
         self.attn = MultiHeadAttention(d, num_heads, rng)
         self.ff = FeedForward(d, ff_dim, rng)
-        self.norm1 = LayerNorm(d, eps)
-        self.norm2 = LayerNorm(d, eps)
+        self.norm1 = LayerNorm(d)
+        self.norm2 = LayerNorm(d)
         self.pre_norm = pre_norm
 
     def __call__(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
@@ -113,13 +109,13 @@ class DecoderLayer(Module):
     """Masked self-attention, cross-attention over the encoder memory, feed-forward."""
 
     def __init__(self, d: int, num_heads: int, ff_dim: int, rng: np.random.Generator,
-                 pre_norm: bool = False, eps: float = 1e-5):
+                 pre_norm: bool = False):
         self.self_attn = MultiHeadAttention(d, num_heads, rng)
         self.cross_attn = MultiHeadAttention(d, num_heads, rng)
         self.ff = FeedForward(d, ff_dim, rng)
-        self.norm1 = LayerNorm(d, eps)
-        self.norm2 = LayerNorm(d, eps)
-        self.norm3 = LayerNorm(d, eps)
+        self.norm1 = LayerNorm(d)
+        self.norm2 = LayerNorm(d)
+        self.norm3 = LayerNorm(d)
         self.pre_norm = pre_norm
 
     def __call__(self, x: Tensor, memory: Tensor,

@@ -19,13 +19,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ConfigurationError, Module, Parameter, ShapeError, Tensor
-from .conditioning import augment_context
 from .config import ModelConfig
 from .decoder import (DecodedTrailer, DecoderStack, SelfAttentionCache, detect_eos,
                       match_nearest, match_similarities)
 from .encoder import ContextEncoder, TrailernessEncoder, fuse_trailerness
 from .layers import EncoderLayer, Linear
-from .shots import ShotSequence, positional_encoding
+from .shots import as_embedding_array, positional_encoding
 
 
 # Upper bound on one decode group's zero-padded memory [B, L, d]: consecutive
@@ -38,11 +37,6 @@ class EncodeResult:
     memory: Tensor              # [B, L, d] context sequence the decoder attends over
     valid: np.ndarray           # [B, L] framed-position validity
     scores: Tensor | None       # [B, L] trailerness, None when the encoder is ablated
-    lengths: np.ndarray         # framed lengths n_i + 2
-
-
-def _as_embedding_array(movie) -> np.ndarray:
-    return movie.embeddings if isinstance(movie, ShotSequence) else np.asarray(movie)
 
 
 def _pad_stack(rows: list[Tensor], width: int) -> Tensor:
@@ -77,7 +71,7 @@ class TrailerModel(Module):
             if cfg.condition_mode == "contextualized":
                 self.condition_layer = EncoderLayer(
                     d, cfg.num_heads, cfg.ff_dim, streams["condition"],
-                    pre_norm=cfg.pre_norm, eps=cfg.layer_norm_eps)
+                    pre_norm=cfg.pre_norm)
         self._pos_const = positional_encoding(cfg.max_len, d)
 
     # -- shared plumbing ------------------------------------------------------
@@ -91,7 +85,7 @@ class TrailerModel(Module):
 
     def frame_one(self, embeddings) -> Tensor:
         """[n, d] shots -> [n+2, d] with the SOS/EOS vectors at the ends."""
-        arr = _as_embedding_array(embeddings)
+        arr = as_embedding_array(embeddings)
         if arr.ndim != 2 or arr.shape[1] != self.cfg.d_model:
             raise ShapeError(f"expected [n, {self.cfg.d_model}] shots, got {arr.shape}")
         d = self.cfg.d_model
@@ -100,7 +94,7 @@ class TrailerModel(Module):
 
     def frame_batch(self, movies: list) -> tuple[Tensor, np.ndarray, np.ndarray]:
         """Frame and zero-pad a batch; returns (tensor [B, L, d], valid [B, L], lengths)."""
-        arrays = [_as_embedding_array(m) for m in movies]
+        arrays = [as_embedding_array(m) for m in movies]
         lengths = np.array([a.shape[0] + 2 for a in arrays], dtype=np.int64)
         full = int(lengths.max())
         framed = _pad_stack([self.frame_one(arr) for arr in arrays], full)
@@ -113,7 +107,7 @@ class TrailerModel(Module):
         return self.encode_batch([movie])
 
     def encode_batch(self, movies: list) -> EncodeResult:
-        framed, valid, lengths = self.frame_batch(movies)
+        framed, valid, _ = self.frame_batch(movies)
         x = ad.add(framed, self.positional_rows(framed.shape[1]))
         # with no padded row a key mask would only add zeros
         key_mask = None if valid.all() else valid[:, None, None, :]
@@ -122,27 +116,43 @@ class TrailerModel(Module):
             scores = self.trailerness(x, key_mask)
             fused = fuse_trailerness(x, scores)
         memory = self.context(fused, key_mask) if self.context is not None else fused
-        return EncodeResult(memory=memory, valid=valid, scores=scores, lengths=lengths)
+        return EncodeResult(memory=memory, valid=valid, scores=scores)
 
     def attach_condition(self, enc: EncodeResult, conditions) -> tuple[Tensor, np.ndarray]:
-        """Append (projected, optionally contextualized) condition rows to the
-        memory; ``conditions`` holds one [Lc, dc] array per movie of ``enc``."""
+        """Append condition rows to the memory as extra cross-attention keys.
+
+        ``conditions`` holds one [Lc, dc] array per movie of ``enc``, such as
+        embedded plot summaries.  Their rows are projected to the model width
+        when ``condition_dim`` differs from it and, in "contextualized" mode,
+        pass through one extra self-attention layer.  Returns the merged
+        memory and its validity mask.  With no condition rows the memory
+        comes back untouched, so such a pass equals an unconditioned one.
+        """
         if self.cfg.condition_mode == "none" or conditions is None:
             return enc.memory, enc.valid
-        arrays = [_as_embedding_array(c) for c in conditions]
+        arrays = [as_embedding_array(c) for c in conditions]
         if len(arrays) != enc.memory.shape[0]:
             raise ShapeError("need one condition per batched movie")
+        if any(a.ndim != 2 for a in arrays):
+            raise ShapeError(f"conditions must be [Lc, dc] rows, got shapes "
+                             f"{[a.shape for a in arrays]}")
         cond_lengths = np.array([a.shape[0] for a in arrays], dtype=np.int64)
         if np.all(cond_lengths == 0):
             return enc.memory, enc.valid
         if np.any(cond_lengths == 0):
             raise ConfigurationError("cannot batch empty with non-empty conditions")
         full = int(cond_lengths.max())
-        return augment_context(
-            enc.memory, _pad_stack([Tensor(arr) for arr in arrays], full),
-            self.cfg.condition_mode, projection=self.condition_proj,
-            extra_layer=self.condition_layer, memory_valid=enc.valid,
-            cond_valid=ad.padding_mask(cond_lengths, full))
+        cond = _pad_stack([Tensor(arr) for arr in arrays], full)
+        cond_valid = ad.padding_mask(cond_lengths, full)
+        if self.condition_proj is not None:
+            cond = self.condition_proj(cond)
+        if cond.shape[-1] != self.cfg.d_model:
+            raise ShapeError(f"condition width {cond.shape[-1]} does not match "
+                             f"memory width {self.cfg.d_model}")
+        if self.condition_layer is not None:
+            cond = self.condition_layer(cond, cond_valid[:, None, None, :])
+        return (ad.concat([enc.memory, cond], axis=-2),
+                np.concatenate([enc.valid, cond_valid], axis=1))
 
     # -- decoder side -------------------------------------------------------------
 
@@ -157,7 +167,7 @@ class TrailerModel(Module):
         """Batched pass; returns (predictions, target rows, row validity).
 
         ``memory_valid`` None means that no memory row is padding."""
-        arrays = [_as_embedding_array(t) for t in trailers]
+        arrays = [as_embedding_array(t) for t in trailers]
         counts = np.array([a.shape[0] for a in arrays], dtype=np.int64)
         if np.any(counts < 1):
             raise ShapeError("every trailer needs at least one shot")
@@ -194,7 +204,7 @@ class TrailerModel(Module):
         """
         if max_len < 1:
             raise ValueError("max_len must be >= 1")
-        arrays = [_as_embedding_array(m) for m in movies]
+        arrays = [as_embedding_array(m) for m in movies]
         if not arrays:
             raise ValueError("generate_batch needs at least one movie")
         if conditions is None:

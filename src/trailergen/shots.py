@@ -67,6 +67,11 @@ class ShotSequence:
         return self.embeddings.shape[1]
 
 
+def as_embedding_array(seq) -> np.ndarray:
+    """The embedding rows of a ``ShotSequence``, or any other rows as an array."""
+    return seq.embeddings if isinstance(seq, ShotSequence) else np.asarray(seq)
+
+
 # Bound on the [rows, m, d] float64 product one block of the cosine kernel
 # holds at a time.  A single row may exceed it when m * d * 8 alone does.
 _BLOCK_BYTES = 8 * 2**20

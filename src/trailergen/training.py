@@ -61,6 +61,13 @@ class TrainConfig:
             raise ConfigurationError("loss_weights must be three nonnegative reals")
         if not 0.0 <= self.warmup_frac < 1.0:
             raise ConfigurationError("warmup_frac must be in [0, 1)")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ConfigurationError(
+                f"beta1 and beta2 must be in [0, 1), got {self.beta1} and {self.beta2}")
+        if self.eps <= 0:
+            raise ConfigurationError(f"eps must be positive, got {self.eps}")
+        if self.weight_decay < 0:
+            raise ConfigurationError(f"weight_decay must be >= 0, got {self.weight_decay}")
         return self
 
     def resolved(self, num_pairs: int) -> "TrainConfig":
@@ -398,7 +405,11 @@ def load_checkpoint(path) -> CheckpointData:
     raw = Path(path).read_bytes()
     if raw[:8] != _CKPT_MAGIC:
         raise ValueError(f"{path} is not a checkpoint (bad magic)")
+    if len(raw) < 12:
+        raise ValueError(f"{path} is truncated: {len(raw)} bytes, shorter than the preamble")
     head_len = struct.unpack("<I", raw[8:12])[0]
+    if 12 + head_len > len(raw):
+        raise ValueError(f"{path} is truncated: its {head_len}-byte header runs past the end")
     header = json.loads(raw[12:12 + head_len].decode())
     if header.get("version") != 1:
         raise ValueError(f"unsupported checkpoint version {header.get('version')}")

@@ -201,6 +201,7 @@ class TestTrain:
         "model.d_model=abc", "train.clip_norm=nan", "model.num_heads=0",
         "model.ff_dim=0", "model.num_heads=-4", "model.condition_dim=-1",
         "model.position_mode=learned", "train.normalize_by_length=true",
+        "train.beta1=1.0", "train.eps=0", "train.beta2=1.5", "train.weight_decay=-0.1",
     ])
     def test_bad_config_value_exit_2(self, data_dir, tmp_path, capsys, setting):
         rc = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "run"),
@@ -361,6 +362,15 @@ class TestEval:
                    "--data", str(data_dir)])
         assert rc == 2
         assert "checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("keep", [9, 16])
+    def test_truncated_checkpoint_exit_2(self, run_dir, data_dir, tmp_path, capsys, keep):
+        # 9 bytes end inside the preamble; 16 end inside the header
+        stub = tmp_path / "stub.ckpt"
+        stub.write_bytes((run_dir / "model.ckpt").read_bytes()[:keep])
+        rc = main(["eval", "--checkpoint", str(stub), "--data", str(data_dir)])
+        assert rc == 2
+        assert "truncated" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 
 from trailergen import autodiff as ad
 from trailergen.autodiff import ConfigurationError, ShapeError, Tensor
-from trailergen.conditioning import augment_context
 from trailergen.config import ModelConfig, with_overrides
 from trailergen.layers import EncoderLayer, Linear
 from trailergen.model import TrailerModel
@@ -23,87 +22,88 @@ def all_valid(rows):
     return np.ones((1, rows), dtype=bool)
 
 
-def augment(memory, cond, mode="encoded", **kw):
-    """``augment_context`` on a batch of one with every row valid."""
-    cond_valid = None if cond is None else all_valid(cond.shape[-2])
-    return augment_context(memory, cond, mode, memory_valid=all_valid(memory.shape[-2]),
-                           cond_valid=cond_valid, **kw)
+def conditioned(mode="encoded", **overrides):
+    return TrailerModel(with_overrides(BASE, condition_mode=mode, **overrides), seed=3)
+
+
+def three_shot_encoding(model):
+    """A 3-shot movie encoded as a batch of one: memory [1, 5, 16]."""
+    return model.encode_single(rng_movie(np.random.default_rng(0), 3))
 
 
 class TestAugmentContext:
+    """The context memory augmented with condition rows by ``attach_condition``."""
+
     def test_encoded_mode_row_concatenates(self):
-        memory = Tensor(np.ones((1, 5, 4)))
-        cond = Tensor(np.full((1, 3, 4), 2.0))
-        merged, valid = augment(memory, cond)
-        assert merged.shape == (1, 8, 4)  # (n+2) + L_c rows
-        np.testing.assert_array_equal(merged.data[0, :5], 1.0)
+        model = conditioned()
+        enc = three_shot_encoding(model)
+        cond = np.full((3, 16), 2.0)
+        merged, valid = model.attach_condition(enc, [cond])
+        assert merged.shape == (1, 8, 16)  # (n+2) + L_c rows
+        np.testing.assert_array_equal(merged.data[0, :5], enc.memory.data[0])
         np.testing.assert_array_equal(merged.data[0, 5:], 2.0)
         np.testing.assert_array_equal(valid, all_valid(8))
 
     def test_none_condition_is_pass_through(self):
-        memory = Tensor(np.ones((1, 5, 4)))
-        merged, valid = augment(memory, None)
-        assert merged is memory
+        model = conditioned()
+        enc = three_shot_encoding(model)
+        merged, valid = model.attach_condition(enc, None)
+        assert merged is enc.memory
         np.testing.assert_array_equal(valid, all_valid(5))
 
     def test_zero_length_condition_is_pass_through(self):
-        memory = Tensor(np.ones((1, 5, 4)))
-        merged, _ = augment(memory, Tensor(np.zeros((1, 0, 4))))
-        assert merged is memory
+        model = conditioned()
+        enc = three_shot_encoding(model)
+        merged, _ = model.attach_condition(enc, [np.zeros((0, 16))])
+        assert merged is enc.memory
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            augment(Tensor(np.ones((1, 2, 4))), Tensor(np.ones((1, 1, 4))), "averaged")
+        with pytest.raises(ConfigurationError):
+            with_overrides(BASE, condition_mode="averaged")
 
     def test_width_mismatch_rejected(self):
+        model = conditioned()
         with pytest.raises(ShapeError):
-            augment(Tensor(np.ones((1, 2, 4))), Tensor(np.ones((1, 1, 6))))
+            model.attach_condition(three_shot_encoding(model), [np.ones((1, 6))])
 
     def test_rank_mismatch_rejected(self):
-        with pytest.raises(ShapeError):  # an unbatched [L, d] condition
-            augment(Tensor(np.ones((1, 2, 4))), Tensor(np.ones((1, 4))))
+        model = conditioned()
+        with pytest.raises(ShapeError):  # one condition vector without its row axis
+            model.attach_condition(three_shot_encoding(model), [np.ones(16)])
 
     def test_projection_maps_foreign_width(self):
-        rng = np.random.default_rng(0)
-        proj = Linear(6, 4, rng)
-        memory = Tensor(np.ones((1, 2, 4)))
-        cond = Tensor(rng.normal(size=(1, 3, 6)))
-        merged, _ = augment(memory, cond, projection=proj)
-        assert merged.shape == (1, 5, 4)
-        expected = proj(Tensor(cond.data)).data
-        np.testing.assert_array_equal(merged.data[:, 2:], expected)
+        model = conditioned(condition_dim=6)
+        enc = three_shot_encoding(model)
+        cond = np.random.default_rng(0).normal(size=(3, 6))
+        merged, _ = model.attach_condition(enc, [cond])
+        assert merged.shape == (1, 8, 16)
+        expected = model.condition_proj(Tensor(cond[None])).data
+        np.testing.assert_array_equal(merged.data[:, 5:], expected)
 
     def test_contextualized_requires_extra_layer(self):
-        with pytest.raises(ValueError):
-            augment(Tensor(np.ones((1, 2, 4))), Tensor(np.ones((1, 1, 4))), "contextualized")
+        # the constructor builds the extra layer exactly when the mode needs it
+        assert conditioned("contextualized").condition_layer is not None
+        assert conditioned("encoded").condition_layer is None
 
     def test_contextualized_transforms_condition_rows(self):
-        rng = np.random.default_rng(1)
-        layer = EncoderLayer(4, 2, 8, rng)
-        memory = Tensor(np.ones((1, 2, 4)))
-        cond_rows = rng.normal(size=(1, 3, 4))
-        merged, _ = augment(memory, Tensor(cond_rows), "contextualized", extra_layer=layer)
-        np.testing.assert_array_equal(merged.data[:, :2], 1.0)  # memory untouched
-        assert not np.allclose(merged.data[:, 2:], cond_rows)  # cond transformed
-        np.testing.assert_allclose(merged.data[:, 2:],
-                                   layer(Tensor(cond_rows), None).data)
+        model = conditioned("contextualized")
+        enc = three_shot_encoding(model)
+        cond_rows = np.random.default_rng(1).normal(size=(3, 16))
+        merged, _ = model.attach_condition(enc, [cond_rows])
+        np.testing.assert_array_equal(merged.data[:, :5], enc.memory.data)  # memory untouched
+        assert not np.allclose(merged.data[:, 5:], cond_rows)  # cond transformed
+        np.testing.assert_allclose(merged.data[:, 5:],
+                                   model.condition_layer(Tensor(cond_rows[None]), None).data)
 
     def test_batched_concatenates_masks(self):
-        memory = Tensor(np.ones((2, 5, 4)))
-        cond = Tensor(np.ones((2, 3, 4)))
-        mem_valid = np.array([[True] * 5, [True, True, True, False, False]])
+        model = conditioned()
+        rng = np.random.default_rng(2)
+        enc = model.encode_batch([rng_movie(rng, 3), rng_movie(rng, 1)])
+        merged, valid = model.attach_condition(
+            enc, [rng.normal(size=(3, 16)), rng.normal(size=(1, 16))])
+        assert merged.shape == (2, 8, 16)
         cond_valid = np.array([[True, True, True], [True, False, False]])
-        merged, valid = augment_context(memory, cond, "encoded",
-                                        memory_valid=mem_valid,
-                                        cond_valid=cond_valid)
-        assert merged.shape == (2, 8, 4)
-        np.testing.assert_array_equal(
-            valid, np.concatenate([mem_valid, cond_valid], axis=1))
-
-    def test_batched_without_masks_rejected(self):
-        with pytest.raises(ShapeError):
-            augment_context(Tensor(np.ones((2, 5, 4))),
-                            Tensor(np.ones((2, 3, 4))), "encoded")
+        np.testing.assert_array_equal(valid, np.concatenate([enc.valid, cond_valid], axis=1))
 
 
 class TestModelConditioning:

@@ -157,5 +157,4 @@ def test_encode_single_memory_covers_framed_length():
     enc = model.encode_single(movie)
     assert enc.memory.shape == (1, 8, 8)
     assert enc.scores.shape == (1, 8)
-    assert enc.lengths.tolist() == [8]
     assert enc.valid.tolist() == [[True] * 8]

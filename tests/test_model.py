@@ -64,10 +64,12 @@ def test_config_counts_checked_before_use(field, value):
 
 def test_config_from_dict_retired_keys_and_types():
     old = {**small_cfg().to_dict(), "position_mode": "sinusoidal",
-           "score_fusion": "broadcast", "stop_score_gradient": False}
+           "score_fusion": "broadcast", "stop_score_gradient": False,
+           "layer_norm_eps": 1e-5}
     assert ModelConfig.from_dict(old) == small_cfg()
     for key, value in (("position_mode", "learned"), ("score_fusion", "projected"),
-                       ("stop_score_gradient", True), ("stop_score_gradient", 0)):
+                       ("stop_score_gradient", True), ("stop_score_gradient", 0),
+                       ("layer_norm_eps", 1e-6)):
         with pytest.raises(ConfigurationError, match=key):
             ModelConfig.from_dict({**old, key: value})
     for key, value in (("d_model", "abc"), ("d_model", 8.0), ("pre_norm", "yes"),
