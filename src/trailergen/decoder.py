@@ -1,11 +1,13 @@
 """Trailer decoder stack plus retrieval and stopping rules.
 
 The decoder itself only maps (input rows, memory) to output embeddings,
-either a whole causal prefix or, with a ``SelfAttentionCache``, one new row
-per sequence; the autoregressive loop, which needs the whole model, lives in
-``model.TrailerModel.generate_batch``.  Matching decoded embeddings back to movie
-shots and deciding when a decoded embedding means "stop" are plain numpy
-routines over frozen data.
+either a whole causal prefix or, with a ``DecodeCache``, one new row per
+sequence.  The cache holds every layer's self-attention keys and values of
+the rows decoded so far and its cross-attention keys and values of the
+memory, projected once at the first step.  The autoregressive loop, which
+needs the whole model, lives in ``model.TrailerModel.generate_batch``.
+Matching decoded embeddings back to movie shots and deciding when a decoded
+embedding means "stop" are plain numpy routines over frozen data.
 """
 
 from __future__ import annotations
@@ -21,17 +23,23 @@ from .layers import DecoderLayer
 from .shots import as_embedding_array, cosine_similarity
 
 
-class SelfAttentionCache:
-    """Self-attention keys and values of the rows decoded so far, one buffer pair per layer.
+class DecodeCache:
+    """The keys and values a cached decode reuses, per layer: self-attention
+    over the rows decoded so far and cross-attention over the memory.
 
-    Row t of layer i's [B, rows, d] buffers holds the K and V that layer's
-    self-attention projected for decoded row t; ``length`` rows are filled.
-    With ``pre_norm`` these are projections of the normed layer input, since
-    that is what ``self_attn`` sees.  A buffer is allocated at its layer's
-    first write, in the dtype of the projections, with ``FIRST_ROWS`` rows,
-    and doubles when full, up to ``capacity`` rows; so a decode that stops
-    early holds few rows whatever its cap.  The buffers are plain arrays, so
-    no gradient flows through them.
+    Row t of layer i's [B, rows, d] self-attention buffers holds the K and V
+    that layer's self-attention projected for decoded row t; ``length`` rows
+    are filled.  With ``pre_norm`` these are projections of the normed layer
+    input, since that is what ``self_attn`` sees.  A buffer is allocated at
+    its layer's first write, in the dtype of the projections, with
+    ``FIRST_ROWS`` rows, and doubles when full, up to ``capacity`` rows; so a
+    decode that stops early holds few rows whatever its cap.
+
+    Layer i's cross-attention K and V [B, L, d] are the memory's projections,
+    made at the first step and reused at every later one.  They are cut to
+    the memory's width when a later step attends to a narrower memory (the
+    longest memories have finished).  Every buffer is a plain array, so no
+    gradient flows through the cache.
     """
 
     FIRST_ROWS = 64
@@ -40,6 +48,8 @@ class SelfAttentionCache:
         self.capacity = capacity
         self.keys: list[np.ndarray | None] = [None] * layers
         self.values: list[np.ndarray | None] = [None] * layers
+        self.cross_keys: list[np.ndarray | None] = [None] * layers
+        self.cross_values: list[np.ndarray | None] = [None] * layers
         self.length = 0
 
     def extend(self, layer: int, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -59,10 +69,23 @@ class SelfAttentionCache:
         values[:, t] = v[:, 0]
         return keys[:, :t + 1], values[:, :t + 1]
 
+    def cross(self, layer: int, width: int, project) -> tuple[np.ndarray, np.ndarray]:
+        """The memory's cross-attention K and V for ``layer``, ``width`` rows wide.
+
+        ``project()`` returns them at the first step only."""
+        if self.cross_keys[layer] is None:
+            self.cross_keys[layer], self.cross_values[layer] = project()
+        elif width < self.cross_keys[layer].shape[1]:
+            self.cross_keys[layer] = self.cross_keys[layer][:, :width].copy()
+            self.cross_values[layer] = self.cross_values[layer][:, :width].copy()
+        return self.cross_keys[layer], self.cross_values[layer]
+
     def keep(self, rows) -> None:
         """Keep only the sequences at ``rows`` of the current batch, in that order."""
-        self.keys = [k if k is None else k[rows] for k in self.keys]
-        self.values = [v if v is None else v[rows] for v in self.values]
+        for buffers in (self.keys, self.values, self.cross_keys, self.cross_values):
+            for i, buffer in enumerate(buffers):  # one layer's copy alive at a time
+                if buffer is not None:
+                    buffers[i] = buffer[rows]
 
 
 class DecoderStack(Module):
@@ -76,13 +99,17 @@ class DecoderStack(Module):
     def __call__(self, x: Tensor, memory: Tensor,
                  self_mask: np.ndarray | None = None,
                  cross_mask: np.ndarray | None = None,
-                 cache: SelfAttentionCache | None = None) -> Tensor:
+                 cache: DecodeCache | None = None) -> Tensor:
         """Run every layer over ``x`` [..., L, d] attending to ``memory``.
 
         With a ``cache``, ``x`` is [B, 1, d]: the next row of each sequence.
         Its self-attention keys and values are written to the cache, and the
         row attends over every cached row of its sequence, so no
-        ``self_mask`` is needed.
+        ``self_mask`` is needed.  The cross-attention keys and values come
+        from the cache too: the first step projects ``memory`` into it, and
+        later steps pass the same memory, less the rows of finished
+        sequences (``cache.keep``) and any trailing columns that only they
+        used, with ``cross_mask`` to match.
         """
         if cache is not None:
             if grad_enabled():
@@ -92,8 +119,11 @@ class DecoderStack(Module):
                 raise ShapeError(f"a cached decoder step takes [B, 1, d] rows, got {x.shape}")
         h = x
         for i, layer in enumerate(self.layers):
-            kv = None if cache is None else functools.partial(cache.extend, i)
-            h = layer(h, memory, self_mask, cross_mask, kv)
+            kv = cross_kv = None
+            if cache is not None:
+                kv = lambda project, i=i: cache.extend(i, *project())
+                cross_kv = functools.partial(cache.cross, i, memory.shape[-2])
+            h = layer(h, memory, self_mask, cross_mask, kv, cross_kv)
         if cache is not None:
             cache.length += 1
         return h

@@ -71,11 +71,14 @@ class MultiHeadAttention(Module):
 
     def __call__(self, query: Tensor, key: Tensor, value: Tensor,
                  mask: np.ndarray | None = None, kv=None) -> Tensor:
-        """``kv`` (incremental decoding) takes the projected key and value
-        arrays of the new rows and returns those of every row to attend over."""
-        q, k, v = self.wq(query), self.wk(key), self.wv(value)
-        if kv is not None:
-            keys, values = kv(k.data, v.data)
+        """``kv`` (incremental decoding) is called with a function that
+        projects ``key`` and ``value`` to arrays, and returns the key and
+        value arrays to attend over; it need not call that function."""
+        q = self.wq(query)
+        if kv is None:
+            k, v = self.wk(key), self.wv(value)
+        else:
+            keys, values = kv(lambda: (self.wk(key).data, self.wv(value).data))
             k, v = Tensor(keys, dtype=keys.dtype), Tensor(values, dtype=values.dtype)
         attended = ad.multi_head_attention(q, k, v, self.num_heads, mask=mask)
         return self.wo(attended)
@@ -120,13 +123,14 @@ class DecoderLayer(Module):
 
     def __call__(self, x: Tensor, memory: Tensor,
                  self_mask: np.ndarray | None = None,
-                 cross_mask: np.ndarray | None = None, kv=None) -> Tensor:
-        """``kv`` is the self-attention's cache hook (see ``MultiHeadAttention``)."""
+                 cross_mask: np.ndarray | None = None, kv=None, cross_kv=None) -> Tensor:
+        """``kv`` and ``cross_kv`` are the self- and cross-attention's cache
+        hooks (see ``MultiHeadAttention``)."""
         if self.pre_norm:
             nx = self.norm1(x)
             h = ad.add(x, self.self_attn(nx, nx, nx, self_mask, kv))
-            h2 = ad.add(h, self.cross_attn(self.norm2(h), memory, memory, cross_mask))
+            h2 = ad.add(h, self.cross_attn(self.norm2(h), memory, memory, cross_mask, cross_kv))
             return ad.add(h2, self.ff(self.norm3(h2)))
         h = self.norm1(ad.add(x, self.self_attn(x, x, x, self_mask, kv)))
-        h2 = self.norm2(ad.add(h, self.cross_attn(h, memory, memory, cross_mask)))
+        h2 = self.norm2(ad.add(h, self.cross_attn(h, memory, memory, cross_mask, cross_kv)))
         return self.norm3(ad.add(h2, self.ff(h2)))

@@ -20,16 +20,20 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ConfigurationError, Module, Parameter, ShapeError, Tensor
 from .config import ModelConfig
-from .decoder import (DecodedTrailer, DecoderStack, SelfAttentionCache, detect_eos,
+from .decoder import (DecodeCache, DecodedTrailer, DecoderStack, detect_eos,
                       match_nearest, match_similarities)
 from .encoder import ContextEncoder, TrailernessEncoder, fuse_trailerness
 from .layers import EncoderLayer, Linear
 from .shots import as_embedding_array, positional_encoding
 
 
-# Upper bound on one decode group's zero-padded memory [B, L, d]: consecutive
-# movies share a decoder pass while their padded memory stays under it.
-_GROUP_BYTES = 4 << 20
+# Upper bound on one decode group's zero-padded memory [B, L, d] plus the
+# cross-attention K and V [B, L, d] its decode cache holds for every decoder
+# layer: consecutive movies share a decoder pass while those stay under it.
+# Each group pays the per-op overhead of every decoder step once, so fewer,
+# larger groups decode faster but hold more; at 8 MiB nineteen 150-shot desk
+# movies share a group.
+_GROUP_BYTES = 8 << 20
 
 
 @dataclass
@@ -92,13 +96,13 @@ class TrailerModel(Module):
         return ad.concat(
             [ad.reshape(self.sos, (1, d)), Tensor(arr), ad.reshape(self.eos, (1, d))], axis=0)
 
-    def frame_batch(self, movies: list) -> tuple[Tensor, np.ndarray, np.ndarray]:
-        """Frame and zero-pad a batch; returns (tensor [B, L, d], valid [B, L], lengths)."""
+    def frame_batch(self, movies: list) -> tuple[Tensor, np.ndarray]:
+        """Frame and zero-pad a batch; returns (tensor [B, L, d], valid [B, L])."""
         arrays = [as_embedding_array(m) for m in movies]
         lengths = np.array([a.shape[0] + 2 for a in arrays], dtype=np.int64)
         full = int(lengths.max())
         framed = _pad_stack([self.frame_one(arr) for arr in arrays], full)
-        return framed, ad.padding_mask(lengths, full), lengths
+        return framed, ad.padding_mask(lengths, full)
 
     # -- encoder side -----------------------------------------------------------
 
@@ -107,7 +111,7 @@ class TrailerModel(Module):
         return self.encode_batch([movie])
 
     def encode_batch(self, movies: list) -> EncodeResult:
-        framed, valid, _ = self.frame_batch(movies)
+        framed, valid = self.frame_batch(movies)
         x = ad.add(framed, self.positional_rows(framed.shape[1]))
         # with no padded row a key mask would only add zeros
         key_mask = None if valid.all() else valid[:, None, None, :]
@@ -196,8 +200,10 @@ class TrailerModel(Module):
         Each movie is encoded and conditioned as a batch of one, so no
         [B, H, L, L] encoder scores are ever held for many movies at once.
         Consecutive memories are zero-padded into one [B, L, d] batch while
-        that stays under ``_GROUP_BYTES``, and each step runs one cached
-        decoder pass over the next row of every sequence still decoding.
+        that batch and the cross-attention keys and values its decode cache
+        will hold (two more [B, L, d] arrays per decoder layer) stay under
+        ``_GROUP_BYTES``, and each step runs one cached decoder pass over
+        the next row of every sequence still decoding.
         Each decoded embedding is matched to movie shots immediately; the
         matched shot feeds back instead of the raw prediction when the model
         is configured for retrieval feedback.
@@ -212,13 +218,14 @@ class TrailerModel(Module):
         elif len(conditions) != len(arrays):
             raise ShapeError(f"{len(conditions)} conditions for {len(arrays)} movies")
         decoded, group, rows = [], [], 0
+        copies = 1 + 2 * len(self.decoder.layers)
         with ad.no_grad():
             for movie, condition in zip(arrays, conditions):
                 memory, _ = self.attach_condition(
                     self.encode_batch([movie]), None if condition is None else [condition])
                 memory = memory.data[0]
                 rows = max(rows, memory.shape[0])
-                padded = (len(group) + 1) * rows * memory.shape[1] * memory.itemsize
+                padded = copies * (len(group) + 1) * rows * memory.shape[1] * memory.itemsize
                 if group and padded > _GROUP_BYTES:
                     decoded += self._decode_group(group, max_len, topk)
                     group, rows = [], memory.shape[0]
@@ -230,9 +237,11 @@ class TrailerModel(Module):
         """Decode (movie, [L, d] memory) pairs together; a finished sequence leaves the batch.
 
         Step t feeds one row per active sequence (SOS, then the fed-back row,
-        plus positional row t-1); the self-attention keys and values of the
-        earlier rows come from a ``SelfAttentionCache``.  Cross-attention
-        projects the memory again at every step.
+        plus positional row t-1).  A ``DecodeCache`` holds the self-attention
+        keys and values of the earlier rows and the cross-attention keys and
+        values of the padded group memory, projected at step 1.  When
+        sequences finish, the cache keeps the others' rows, and the memory
+        and its mask are cut to the longest memory still decoding.
         """
         cfg = self.cfg
         lengths = np.array([memory.shape[0] for _, memory in group])
@@ -243,7 +252,7 @@ class TrailerModel(Module):
                         dtype=np.result_type(self.sos.dtype, ad.default_dtype()))
         feed[:] = self.sos.data
         # no decode outgrows the position table, whatever the caller's cap
-        cache = SelfAttentionCache(len(self.decoder.layers), min(max_len, cfg.max_len + 2))
+        cache = DecodeCache(len(self.decoder.layers), min(max_len, cfg.max_len + 2))
         states = [_GreedyState(movie, topk, cfg, self.eos.data, max_len) for movie, _ in group]
         active, memory = np.arange(len(group)), None
         t = 1

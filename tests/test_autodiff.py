@@ -315,6 +315,39 @@ def test_grad_check_detects_wrong_gradient():
     assert not report.ok
 
 
+def test_gradcheck_suite_inputs_do_not_depend_on_other_checks(monkeypatch):
+    """Each check's draws are keyed by its name: deleting one check leaves the
+    inputs of every other check, the model check included, unchanged."""
+    from trailergen import gradcheck
+
+    original = gradcheck._build_away_from_kinks
+
+    def inputs_without(*removed):
+        drawn = {}
+
+        def recording(builder, name, seed):
+            f, tensors = original(builder, name, seed)
+            drawn[name, seed] = [np.array(t.data) for t in tensors]
+            return f, tensors
+
+        with monkeypatch.context() as m:
+            for name in removed:
+                m.delitem(gradcheck.CHECKS, name)
+            m.setattr(gradcheck, "_build_away_from_kinks", recording)
+            # the finite differences are not under test here
+            m.setattr(ad, "grad_check", lambda *args, **kwargs: ad.GradCheckReport())
+            gradcheck.gradcheck_suite(seeds=2, model_seeds=1)
+        return drawn
+
+    full, fewer = inputs_without(), inputs_without("mul")
+    assert set(full) - set(fewer) == {("mul", 0), ("mul", 1)}
+    assert ("model_total_loss", 0) in fewer and len(fewer) > 60
+    for key, arrays in fewer.items():
+        assert len(arrays) == len(full[key])
+        for a, b in zip(arrays, full[key]):
+            np.testing.assert_array_equal(a, b)
+
+
 # ---------------------------------------------------------------------------
 # broadcasting and reductions
 # ---------------------------------------------------------------------------

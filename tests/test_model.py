@@ -12,7 +12,8 @@ from trailergen import autodiff as ad
 from trailergen import model as model_module
 from trailergen.autodiff import ConfigurationError, ShapeError, Tensor
 from trailergen.config import ModelConfig, preset, with_overrides
-from trailergen.decoder import DecoderStack, SelfAttentionCache
+from trailergen.decoder import DecodeCache, DecoderStack
+from trailergen.layers import Linear
 from trailergen.model import TrailerModel
 from trailergen.shots import ShotSequence
 
@@ -140,9 +141,9 @@ def test_positional_rows_capped_by_table():
 
 def test_frame_batch_pads_to_longest():
     model = TrailerModel(small_cfg(), seed=1)
-    framed, valid, lengths = model.frame_batch([_movie(3), _movie(5, seed=2)])
+    framed, valid = model.frame_batch([_movie(3), _movie(5, seed=2)])
     assert framed.shape == (2, 7, 8)
-    assert lengths.tolist() == [5, 7]
+    assert valid.sum(axis=1).tolist() == [5, 7]
     assert valid[0].tolist() == [True] * 5 + [False] * 2
     np.testing.assert_array_equal(framed.data[0, 5:], 0.0)
 
@@ -397,27 +398,33 @@ def test_generate_batch_rejects_bad_input():
 
 
 def test_generate_batch_groups_stay_within_byte_budget(monkeypatch):
-    # the real budget holds a 30-pair desk eval split (152 framed rows) in one group
-    assert 30 * 152 * 64 * 4 <= model_module._GROUP_BYTES
+    # the budget counts each group's padded memory and the cross-attention
+    # K/V the cache holds for it: 1 + 2 * decoder_layers copies
     rng = np.random.default_rng(36)
     movies = [_movie(int(n), seed=100 + i) for i, n in enumerate(rng.integers(3, 15, size=200))]
-    budget = 12 * 16 * 8 * 8  # about a dozen padded float64 memories per group
+    # about a dozen padded float64 memories and their two layers' K/V per group
+    budget = 5 * 12 * 16 * 8 * 8
     monkeypatch.setattr(model_module, "_GROUP_BYTES", budget)
-    memory_bytes, batch_sizes = [], []
+    group_bytes, batch_sizes = [], []
     original = DecoderStack.__call__
 
-    def recording(self, x, memory, *masks):
-        memory_bytes.append(memory.data.nbytes)
-        batch_sizes.append(memory.shape[0])
-        return original(self, x, memory, *masks)
+    def recording(self, x, memory, self_mask, cross_mask, cache):
+        first = cache.length == 0
+        out = original(self, x, memory, self_mask, cross_mask, cache)
+        if first:
+            cross = cache.cross_keys + cache.cross_values
+            group_bytes.append(memory.data.nbytes + sum(a.nbytes for a in cross))
+            batch_sizes.append(memory.shape[0])
+        return out
 
     with ad.precision(np.float64):
-        model = TrailerModel(small_cfg(eos_rule="threshold", eos_threshold=1.1), seed=35)
+        model = TrailerModel(small_cfg(decoder_layers=2, eos_rule="threshold",
+                                       eos_threshold=1.1), seed=35)
         monkeypatch.setattr(DecoderStack, "__call__", recording)
         got = model.generate_batch(movies, max_len=3)
         monkeypatch.setattr(DecoderStack, "__call__", original)
         refs = [oracles.reference_generate(model, m, max_len=3) for m in movies]
-    assert max(memory_bytes) <= budget
+    assert max(group_bytes) <= budget
     assert batch_sizes.count(max(batch_sizes)) > 1 and max(batch_sizes) > 1
     for g, r in zip(got, refs):
         _assert_same_decode(g, r, atol=1e-12)
@@ -499,11 +506,99 @@ def test_cached_decode_feeds_one_row_per_sequence_per_step(monkeypatch):
             assert not row[rows:].any()
 
 
+def test_cross_attention_projects_memory_once_per_group(monkeypatch):
+    # every layer's cross-attention wk and wv run once per decode group,
+    # however many steps the group takes
+    movies = [_movie(n, seed=70 + n) for n in (4, 7, 5, 6, 9)]
+    cfg = small_cfg(decoder_layers=2, eos_rule="threshold", eos_threshold=1.1)
+    model = TrailerModel(cfg, seed=45)
+    cross = {id(lin): (i, name) for i, layer in enumerate(model.decoder.layers)
+             for name, lin in (("wk", layer.cross_attn.wk), ("wv", layer.cross_attn.wv))}
+    calls, groups = [], []
+    original_linear, original_stack = Linear.__call__, DecoderStack.__call__
+
+    def counting(self, x):
+        if id(self) in cross:
+            calls.append(cross[id(self)])
+        return original_linear(self, x)
+
+    def stack(self, x, memory, self_mask, cross_mask, cache):
+        groups.append(cache.length == 0)
+        return original_stack(self, x, memory, self_mask, cross_mask, cache)
+
+    # two float32 memories of up to 11 rows and their K/V fit a group: the
+    # five movies (6, 9, 7, 8 and 11 rows) make groups of two, two and one
+    monkeypatch.setattr(model_module, "_GROUP_BYTES", 5 * 2 * 11 * 8 * 4)
+    monkeypatch.setattr(Linear, "__call__", counting)
+    monkeypatch.setattr(DecoderStack, "__call__", stack)
+    got = model.generate_batch(movies, max_len=6)
+    assert [len(g.all_predictions) for g in got] == [6] * 5
+    assert sum(groups) == 3 and len(groups) == 3 * 6   # three groups of six steps
+    assert sorted(calls) == sorted([(i, name) for i in range(2) for name in ("wk", "wv")] * 3)
+
+
+def test_cached_decode_cuts_cross_cache_when_longest_memory_finishes_first(monkeypatch):
+    # the first movie has the longest memory (2 shots, 9 condition rows) and
+    # the smallest no-repeat pool, so it leaves first; the remaining steps
+    # attend over the cut cache and still match the uncached reference
+    cfg = small_cfg(decoder_layers=2, eos_rule="threshold", eos_threshold=1.1,
+                    no_repeat=True, condition_mode="encoded")
+    rng = np.random.default_rng(46)
+    movies = [_movie(n, seed=80 + n) for n in (2, 6, 4)]
+    conditions = [rng.normal(size=(c, 8)) for c in (9, 1, 2)]
+    widths = [m.shape[0] + 2 + c.shape[0] for m, c in zip(movies, conditions)]
+    assert widths == [13, 9, 8]
+    steps = []
+    original = DecoderStack.__call__
+
+    def recording(self, x, memory, self_mask, cross_mask, cache):
+        out = original(self, x, memory, self_mask, cross_mask, cache)
+        steps.append([(k.shape, v.shape) for k, v in zip(cache.cross_keys, cache.cross_values)])
+        return out
+
+    with ad.precision(np.float64):
+        model = TrailerModel(cfg, seed=47)
+        monkeypatch.setattr(DecoderStack, "__call__", recording)
+        got = model.generate_batch(movies, conditions, max_len=5, topk=2)
+        monkeypatch.setattr(DecoderStack, "__call__", original)
+        refs = [oracles.reference_generate(model, m, c, max_len=5, topk=2)
+                for m, c in zip(movies, conditions)]
+    assert [len(g.all_predictions) for g in got] == [3, 5, 5]
+    expected = [(3, 13)] * 3 + [(2, 9)] * 2
+    assert [{k[:2] for kv in step for k in kv} for step in steps] == [{e} for e in expected]
+    for g, r in zip(got, refs):
+        _assert_same_decode(g, r, atol=1e-12)
+
+
+def test_decode_group_holds_its_cached_bytes_and_little_more():
+    # eight 150-shot desk movies share one group.  A decode that stops at
+    # step 1 peaks at the padded memory, every layer's cross-attention K/V
+    # and self-attention rows, plus at most five more [B, L, d] arrays: the
+    # per-movie memories and one cross-attention's projection and head-split
+    # temporaries
+    cfg = with_overrides(preset("desk"), eos_rule="threshold", eos_threshold=-2.0)
+    model = TrailerModel(cfg, seed=48)
+    movies = [_movie(150, d=cfg.d_model, seed=90 + i) for i in range(8)]
+    max_len = 8
+    one = len(movies) * 152 * cfg.d_model * 4                 # one float32 [B, L, d] array
+    cached = (1 + 2 * cfg.decoder_layers) * one
+    assert cached <= model_module._GROUP_BYTES                 # one group
+    self_kv = 2 * cfg.decoder_layers * len(movies) * max_len * cfg.d_model * 4
+    tracemalloc.start()
+    try:
+        got = model.generate_batch(movies, max_len=max_len)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [(g.terminated_by, len(g.all_predictions)) for g in got] == [("eos", 1)] * 8
+    assert cached <= peak <= cached + self_kv + 5 * one
+
+
 def test_cache_refuses_gradients_multi_row_steps_and_overflow():
     model = TrailerModel(small_cfg(), seed=38)
     memory = Tensor(np.ones((2, 5, 8)))
     x = Tensor(np.ones((2, 1, 8)))
-    cache = SelfAttentionCache(len(model.decoder.layers), 3)
+    cache = DecodeCache(len(model.decoder.layers), 3)
     with pytest.raises(ConfigurationError):
         model.decoder(x, memory, None, None, cache)      # gradients are on
     with ad.no_grad():
@@ -538,15 +633,15 @@ def test_generate_cap_beyond_position_table_allocates_by_decoded_rows():
     finally:
         tracemalloc.stop()
     assert [(g.terminated_by, len(g.all_predictions)) for g in got] == [("eos", 1)] * 4
-    kv_bytes = 2 * cfg.decoder_layers * len(movies) * SelfAttentionCache.FIRST_ROWS * cfg.d_model * 4
-    assert SelfAttentionCache.FIRST_ROWS < cfg.max_len + 2
+    kv_bytes = 2 * cfg.decoder_layers * len(movies) * DecodeCache.FIRST_ROWS * cfg.d_model * 4
+    assert DecodeCache.FIRST_ROWS < cfg.max_len + 2
     assert peak <= kv_bytes + (1 << 20)
 
 
 def test_cache_buffers_double_up_to_capacity_and_keep_their_rows():
     rng = np.random.default_rng(44)
-    first = SelfAttentionCache.FIRST_ROWS
-    cache = SelfAttentionCache(2, 2 * first + 5)
+    first = DecodeCache.FIRST_ROWS
+    cache = DecodeCache(2, 2 * first + 5)
     written, sizes = [], []
     for t in range(cache.capacity):
         k, v = rng.normal(size=(2, 3, 1, 4))
