@@ -164,7 +164,7 @@ def watch_kinks():
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if _finite_checks and not np.all(np.isfinite(arr)):
+    if _finite_checks and not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite values produced by '{op}'")
 
 
@@ -684,10 +684,13 @@ def multi_head_attention(q, k, v, num_heads: int, mask: np.ndarray | None = None
     leading axes.  ``mask`` must broadcast against the score shape
     ([..., H, L_q, L_k]); True means the query may attend to the key.
     Projections live in the calling layer; this routine is purely the
-    attention core.  The backward pass works from the saved attention
-    weights alone, so they are the only [..., H, L_q, L_k] array the graph
-    keeps.  With ``return_weights`` the weights come back as a second,
-    constant tensor.
+    attention core.  Heads are strided views of the d-wide rows, never
+    copies: each [L, dk] head slice has unit column stride and row stride
+    d, which numpy's matmul hands to BLAS as it is, so ``q``/``k``/``v``
+    may themselves be views, such as the filled rows of a decode cache.
+    The backward pass works from the saved attention weights alone, so
+    they are the only [..., H, L_q, L_k] array the graph keeps.  With
+    ``return_weights`` the weights come back as a second, constant tensor.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     d = q.shape[-1]
@@ -699,9 +702,8 @@ def multi_head_attention(q, k, v, num_heads: int, mask: np.ndarray | None = None
     dk = d // num_heads
     scale = 1.0 / math.sqrt(dk)
 
-    def split(x: np.ndarray) -> np.ndarray:  # [..., L, d] -> contiguous [..., H, L, dk]
-        heads = x.reshape(x.shape[:-1] + (num_heads, dk))
-        return np.ascontiguousarray(np.moveaxis(heads, -2, -3))
+    def split(x: np.ndarray) -> np.ndarray:  # [..., L, d] -> [..., H, L, dk] view
+        return np.moveaxis(x.reshape(x.shape[:-1] + (num_heads, dk)), -2, -3)
 
     def merge(x: np.ndarray) -> np.ndarray:  # [..., H, L, dk] -> [..., L, d]
         lead = x.shape[:-3] + (x.shape[-2], d)

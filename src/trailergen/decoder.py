@@ -7,7 +7,9 @@ the rows decoded so far and its cross-attention keys and values of the
 memory, projected once at the first step.  The autoregressive loop, which
 needs the whole model, lives in ``model.TrailerModel.generate_batch``.
 Matching decoded embeddings back to movie shots and deciding when a decoded
-embedding means "stop" are plain numpy routines over frozen data.
+embedding means "stop" are plain numpy routines over frozen data; they take
+one prediction's ``cosine_row`` over the movie when the caller has it, so a
+decode step computes that row once for all of them.
 """
 
 from __future__ import annotations
@@ -39,7 +41,9 @@ class DecodeCache:
     made at the first step and reused at every later one.  They are cut to
     the memory's width when a later step attends to a narrower memory (the
     longest memories have finished).  Every buffer is a plain array, so no
-    gradient flows through the cache.
+    gradient flows through the cache.  The attention core splits heads as
+    strided views, so it reads the filled rows in place: no buffer needs a
+    head layout of its own, and no step copies the cached K/V.
     """
 
     FIRST_ROWS = 64
@@ -153,57 +157,68 @@ class DecodedTrailer:
             raise ValueError(f"unknown termination {self.terminated_by!r}")
 
 
-def _cosine_row(embedding: np.ndarray, shots: np.ndarray) -> np.ndarray:
-    """Cosines between one query vector and every row of ``shots``, in float64."""
+def shot_rows(movie) -> tuple[np.ndarray, np.ndarray]:
+    """A movie's shots as float64 rows [n, d] and their norms [n], for ``cosine_row``."""
+    rows = np.asarray(as_embedding_array(movie), dtype=np.float64)
+    return rows, np.linalg.norm(rows, axis=1)
+
+
+def cosine_row(embedding, rows: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Cosines between one query vector and every one of ``shot_rows``' rows, in float64."""
     e = np.asarray(embedding, dtype=np.float64)
-    u = np.asarray(shots, dtype=np.float64)
     ne = np.linalg.norm(e)
-    nu = np.linalg.norm(u, axis=1)
-    if ne == 0.0 or np.any(nu == 0.0):
+    if ne == 0.0 or np.any(norms == 0.0):
         raise DomainError("cosine similarity undefined for zero-norm vectors")
-    return np.clip(u @ e / (nu * ne), -1.0, 1.0)
+    return np.clip(rows @ e / (norms * ne), -1.0, 1.0)
 
 
-def match_nearest(embedding, movie, k: int = 1,
-                  exclude: set[int] | None = None) -> list[int]:
+def match_nearest(embedding, movie, k: int = 1, exclude: set[int] | None = None, *,
+                  cosines: np.ndarray | None = None) -> list[int]:
     """Top-k movie-shot indices (1-based) by cosine similarity, ties to lower index.
 
     ``exclude`` removes already-used indices from consideration (the
     no-repeat decoding variant); k then applies to the remaining pool.
+    ``cosines`` is the embedding's ``cosine_row`` over the movie, when the
+    caller has it already.
     """
-    shots = as_embedding_array(movie)
-    n = shots.shape[0]
+    n = as_embedding_array(movie).shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside [1, {n}]")
-    sims = _cosine_row(embedding, shots)
+    sims = cosine_row(embedding, *shot_rows(movie)) if cosines is None else cosines
     if exclude:
-        keep = np.array([i for i in range(n) if (i + 1) not in exclude], dtype=np.int64)
+        pool = np.ones(n, dtype=bool)
+        pool[[i - 1 for i in exclude if 1 <= i <= n]] = False
+        keep = np.flatnonzero(pool)
         if keep.size == 0:
             raise ValueError("every movie shot is excluded")
         order = keep[np.lexsort((keep, -sims[keep]))]
     else:
         order = np.lexsort((np.arange(n), -sims))
-    return [int(i) + 1 for i in order[:min(k, len(order))]]
+    return [int(i) + 1 for i in order[:k]]
 
 
-def match_similarities(embedding, movie, indices: list[int]) -> list[float]:
-    shots = as_embedding_array(movie)
-    sims = _cosine_row(embedding, shots)
+def match_similarities(embedding, movie, indices: list[int], *,
+                       cosines: np.ndarray | None = None) -> list[float]:
+    """Cosines between the embedding and the movie shots at 1-based ``indices``."""
+    sims = cosine_row(embedding, *shot_rows(movie)) if cosines is None else cosines
     return [float(sims[i - 1]) for i in indices]
 
 
 def detect_eos(embedding, eos_vector, movie, rule: str = "margin",
-               threshold: float = 0.9) -> bool:
+               threshold: float = 0.9, *, cosines: np.ndarray | None = None) -> bool:
     """Decide whether a decoded embedding is the stop token.
 
     "margin": the embedding is closer to EOS than to every movie shot.
     "threshold": cosine to EOS exceeds a fixed cutoff regardless of the movie.
+    ``cosines`` is the embedding's ``cosine_row`` over the movie, when the
+    caller has it already.
     """
-    shots = as_embedding_array(movie)
     eos_sim = cosine_similarity(np.asarray(embedding, dtype=np.float64),
                                 np.asarray(eos_vector, dtype=np.float64))
     if rule == "threshold":
         return eos_sim > threshold
     if rule == "margin":
-        return eos_sim > float(_cosine_row(embedding, shots).max())
+        if cosines is None:
+            cosines = cosine_row(embedding, *shot_rows(movie))
+        return eos_sim > float(cosines.max())
     raise ValueError(f"unknown EOS rule {rule!r}")

@@ -20,8 +20,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ConfigurationError, Module, Parameter, ShapeError, Tensor
 from .config import ModelConfig
-from .decoder import (DecodeCache, DecodedTrailer, DecoderStack, detect_eos,
-                      match_nearest, match_similarities)
+from .decoder import (DecodeCache, DecodedTrailer, DecoderStack, cosine_row, detect_eos,
+                      match_nearest, match_similarities, shot_rows)
 from .encoder import ContextEncoder, TrailernessEncoder, fuse_trailerness
 from .layers import EncoderLayer, Linear
 from .shots import as_embedding_array, positional_encoding
@@ -280,11 +280,17 @@ class TrailerModel(Module):
 
 
 class _GreedyState:
-    """One sequence's greedy decode: EOS test, no-repeat pool, top-k matches."""
+    """One sequence's greedy decode: EOS test, no-repeat pool, top-k matches.
+
+    The movie's float64 rows and their norms are built once.  Each step
+    computes one cosine row of its prediction over them, and margin EOS, the
+    top-k ranking and the top-k similarities all read that row.
+    """
 
     def __init__(self, movie: np.ndarray, topk: int, cfg: ModelConfig, eos: np.ndarray,
                  max_len: int):
         self.movie, self.cfg, self.eos, self.max_len = movie, cfg, eos, max_len
+        self.shots = shot_rows(movie)
         self.k = min(max(1, topk), movie.shape[0])
         self.all_preds, self.matched = [], []
         self.topk_idx, self.topk_sims = [], []
@@ -295,19 +301,24 @@ class _GreedyState:
         """Take one decoded embedding; return the row to feed back, or None when done."""
         cfg = self.cfg
         self.all_preds.append(pred)
+        # the threshold rule reads no shot, so its last step computes no row
+        cosines = cosine_row(pred, *self.shots) if cfg.eos_rule == "margin" else None
         if detect_eos(pred, self.eos, self.movie, rule=cfg.eos_rule,
-                      threshold=cfg.eos_threshold):
+                      threshold=cfg.eos_threshold, cosines=cosines):
             self.terminated = "eos"
             return None
         n = self.movie.shape[0]
         pool = n - len(self.chosen) if cfg.no_repeat else n
         if pool < 1:
             return None  # no-repeat pool exhausted; treated as hitting the cap
+        if cosines is None:
+            cosines = cosine_row(pred, *self.shots)
         ranked = match_nearest(pred, self.movie, k=min(self.k, pool),
-                               exclude=self.chosen if cfg.no_repeat else None)
+                               exclude=self.chosen if cfg.no_repeat else None,
+                               cosines=cosines)
         self.matched.append(ranked[0])
         self.topk_idx.append(ranked)
-        self.topk_sims.append(match_similarities(pred, self.movie, ranked))
+        self.topk_sims.append(match_similarities(pred, self.movie, ranked, cosines=cosines))
         if cfg.no_repeat:
             self.chosen.add(ranked[0])
         if len(self.matched) >= self.max_len:

@@ -217,6 +217,29 @@ def test_fused_attention_matches_op_chain_reference(case):
         np.testing.assert_allclose(fused, ref, rtol=0, atol=1e-12, err_msg=name)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("masked", [False, True])
+def test_attention_on_strided_views_is_bit_equal_to_contiguous_copies(dtype, masked):
+    # a cached decode step attends over the filled [:, :t+1] rows of larger
+    # buffers; the heads are views of them, and BLAS must see the same numbers
+    rng = np.random.default_rng(21)
+    buffers = [rng.standard_normal((3, 10, 16)).astype(dtype) for _ in range(3)]
+    t = 5
+    views = (buffers[0][:, t:t + 2], buffers[1][:, :t + 1], buffers[2][:, :t + 1])
+    assert not any(view.flags.c_contiguous for view in views)
+    mask = _key_padding(2, t + 1)[[0, 1, 0]] if masked else None
+    probe = rng.standard_normal((3, 2, 16)).astype(dtype)
+    results = []
+    for arrays in (views, [np.ascontiguousarray(view) for view in views]):
+        q, k, v = (Tensor(a, requires_grad=True, dtype=dtype) for a in arrays)
+        out = ad.multi_head_attention(q, k, v, 4, mask=mask)
+        out.backward(probe)
+        results.append([out.data, q.grad, k.grad, v.grad])
+    for name, strided, contiguous in zip(("out", "dq", "dk", "dv"), *results):
+        assert strided.dtype == dtype, name
+        assert np.array_equal(strided, contiguous), name
+
+
 def test_attention_fully_masked_row_rejected():
     x = t64(np.ones((2, 3, 4)))
     with pytest.raises(ShapeError):

@@ -10,8 +10,8 @@ import oracles
 from trailergen import autodiff as ad
 from trailergen.autodiff import DomainError, Tensor
 from trailergen.config import ModelConfig
-from trailergen.decoder import (DecodedTrailer, DecoderStack, detect_eos,
-                                match_nearest, match_similarities)
+from trailergen.decoder import (DecodedTrailer, DecoderStack, cosine_row, detect_eos,
+                                match_nearest, match_similarities, shot_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +51,12 @@ def test_match_nearest_exclusion_reranks():
         match_nearest([1.0, 0.0], movie, k=1, exclude={1, 2, 3})
 
 
+def test_match_nearest_exclusion_ignores_indices_outside_the_movie():
+    movie = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    assert match_nearest([1.0, 0.0], movie, k=3, exclude={0, -1, 4}) == [1, 2, 3]
+    assert match_nearest([1.0, 0.0], movie, k=2, exclude={1, 9}) == [2, 3]
+
+
 def test_match_nearest_k_bounds():
     movie = np.array([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
@@ -87,6 +93,21 @@ def test_match_similarities_reports_cosines_for_indices():
     sims = match_similarities([1.0, 0.0], movie, [1, 2])
     assert sims[0] == pytest.approx(1.0)
     assert sims[1] == pytest.approx(0.0)
+
+
+def test_retrieval_with_a_given_cosine_row_equals_the_computed_one():
+    rng = np.random.default_rng(3)
+    movie = rng.normal(size=(12, 6)).astype(np.float32)
+    eos = rng.normal(size=6)
+    for query in rng.normal(size=(5, 6)).astype(np.float32):
+        row = cosine_row(query, *shot_rows(movie))
+        ranked = match_nearest(query, movie, k=4, exclude={2, 5})
+        assert match_nearest(query, movie, k=4, exclude={2, 5}, cosines=row) == ranked
+        assert (match_similarities(query, movie, ranked, cosines=row)
+                == match_similarities(query, movie, ranked))
+        assert (detect_eos(query, eos, movie, cosines=row)
+                == detect_eos(query, eos, movie) == (oracles.cosine_scalar(query, eos)
+                                                     > row.max()))
 
 
 # ---------------------------------------------------------------------------

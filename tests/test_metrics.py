@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from trailergen.metrics import (MetricsReport, align_gt, levenshtein,
+from trailergen.metrics import (MetricsReport, align_gt, levenshtein, levenshtein_rows,
                                 precision_recall_f1, random_baseline, score_pairs,
                                 sld)
 from trailergen.shots import ShotSequence
@@ -62,6 +62,34 @@ def test_levenshtein_is_a_metric(a, b, c):
 def test_levenshtein_bounds(a, b):
     d = levenshtein(a, b)
     assert abs(len(a) - len(b)) <= d <= max(len(a), len(b))
+
+
+@pytest.mark.parametrize("n,m,vocab", [(1, 1, 2), (1, 4, 3), (4, 1, 3), (6, 6, 6),
+                                        (5, 7, 3), (0, 3, 3), (3, 0, 3)])
+def test_levenshtein_rows_match_scalar_and_recursive_oracle(n, m, vocab):
+    rng = np.random.default_rng(n * 10 + m)
+    rows = rng.integers(1, vocab + 1, size=(40, n))
+    target = rng.integers(1, vocab + 1, size=m)
+    got = levenshtein_rows(rows, target).tolist()
+    assert got == [levenshtein(row, target) for row in rows]
+    assert got == [oracles.levenshtein_recursive(row.tolist(), target.tolist())
+                   for row in rows]
+
+
+@pytest.mark.parametrize("movie_n,gt_m", [(1, 1), (6, 1), (6, 6), (150, 18)])
+def test_random_baseline_distances_equal_the_scalar_path(movie_n, gt_m):
+    # the trials' edit distances come from one DP; score_pairs' per-pair
+    # levenshtein on the same draws must give the same report
+    rep = random_baseline(movie_n, gt_m, trials=60, seed=3)
+    rng = np.random.default_rng(3)
+    gt = list(range(1, gt_m + 1))
+    records = [{"predicted": [int(i) for i in rng.permutation(movie_n)[:gt_m] + 1], "gt": gt}
+               for _ in range(60)]
+    scalar = score_pairs(records, k_list=(1,))
+    assert [e["ld"] for e in scalar.per_pair] == [
+        oracles.levenshtein_recursive(r["predicted"], gt) for r in records]
+    assert (rep.ld, rep.sld, rep.precision, rep.recall, rep.f1) == (
+        scalar.ld, scalar.sld, scalar.precision, scalar.recall, scalar.f1)
 
 
 # ---------------------------------------------------------------------------

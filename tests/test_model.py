@@ -12,7 +12,8 @@ from trailergen import autodiff as ad
 from trailergen import model as model_module
 from trailergen.autodiff import ConfigurationError, ShapeError, Tensor
 from trailergen.config import ModelConfig, preset, with_overrides
-from trailergen.decoder import DecodeCache, DecoderStack
+from trailergen.decoder import (DecodeCache, DecoderStack, detect_eos, match_nearest,
+                                match_similarities)
 from trailergen.layers import Linear
 from trailergen.model import TrailerModel
 from trailergen.shots import ShotSequence
@@ -383,6 +384,54 @@ def test_generate_is_a_batch_of_one_float32():
     batched = model.generate_batch([movie], max_len=12, topk=2)[0]
     np.testing.assert_array_equal(batched.all_predictions, single.all_predictions)
     assert batched.topk_similarities == single.topk_similarities
+
+
+def _replay_greedy_steps(model, movie, predictions, k):
+    """The stop reason, matches, top-k lists and similarities that per-step
+    calls of the public retrieval functions give on a decode's predictions."""
+    cfg, n = model.cfg, movie.shape[0]
+    chosen, matched, ranks, sims, stop = set(), [], [], [], "max_len"
+    for pred in predictions:
+        if detect_eos(pred, model.eos.data, movie, rule=cfg.eos_rule,
+                      threshold=cfg.eos_threshold):
+            stop = "eos"
+            break
+        pool = n - len(chosen) if cfg.no_repeat else n
+        if pool < 1:
+            break
+        ranked = match_nearest(pred, movie, k=min(k, pool),
+                               exclude=chosen if cfg.no_repeat else None)
+        matched.append(ranked[0])
+        ranks.append(ranked)
+        sims.append(match_similarities(pred, movie, ranked))
+        chosen.add(ranked[0])
+    return stop, matched, ranks, sims
+
+
+@pytest.mark.parametrize("no_repeat", [False, True])
+@pytest.mark.parametrize("eos_rule", ["margin", "threshold"])
+def test_generate_batch_reuses_one_cosine_row_per_step(eos_rule, no_repeat):
+    # each step ranks, scores and tests EOS from one cosine row; the results
+    # must be what separate calls of the public functions give
+    cfg = small_cfg(d_model=16, ff_dim=32, decoder_layers=2, eos_rule=eos_rule,
+                    eos_threshold=0.3, no_repeat=no_repeat)
+    model = TrailerModel(cfg, seed=1)  # margin EOS ends one decode at step 4
+    rng = np.random.default_rng(8)
+    movies = [rng.normal(size=(n, 16)) for n in rng.integers(4, 13, size=10)]
+    movies.append(np.repeat(movies[0][:3], 2, axis=0))  # every shot has an equal twin
+    decoded = model.generate_batch(movies, max_len=8, topk=3)
+    for movie, dec in zip(movies, decoded):
+        stop, matched, ranks, sims = _replay_greedy_steps(model, movie,
+                                                          dec.all_predictions, 3)
+        assert (dec.terminated_by, dec.matched_indices) == (stop, matched)
+        assert dec.topk_indices == ranks
+        assert dec.topk_similarities == sims
+    # the first step's best shot ties with its twin, and the tie goes to the lower index
+    first_sims, first_ranked = decoded[-1].topk_similarities[0], decoded[-1].topk_indices[0]
+    assert first_sims[0] == first_sims[1]
+    assert first_ranked[0] % 2 == 1 and first_ranked[1] == first_ranked[0] + 1
+    if eos_rule == "margin":
+        assert any(d.terminated_by == "eos" and d.matched_indices for d in decoded)
 
 
 def test_generate_batch_rejects_bad_input():
