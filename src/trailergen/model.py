@@ -178,7 +178,10 @@ class TrailerModel(Module):
         width = int(counts.max()) + 1
         d = self.cfg.d_model
         sos_row = ad.reshape(self.sos, (1, d))
-        eos_row = ad.reshape(self.eos, (1, d))
+        # EOS as a target is a constant: a gradient through it would pull EOS
+        # toward what the decoder predicts, until every decode stops at once.
+        # EOS still learns as the movie frame's last input row.
+        eos_row = ad.reshape(self.eos.detach(), (1, d))
         inputs = _pad_stack([ad.concat([sos_row, Tensor(arr)], axis=0) for arr in arrays], width)
         targets = _pad_stack([ad.concat([Tensor(arr), eos_row], axis=0) for arr in arrays], width)
         x = ad.add(inputs, self.positional_rows(width))
