@@ -43,7 +43,7 @@ class DecodeCache:
     longest memories have finished).  Every buffer is a plain array, so no
     gradient flows through the cache.  The attention core splits heads as
     strided views, so it reads the filled rows in place: no buffer needs a
-    head layout of its own, and no step copies the cached K/V.
+    head layout of its own, and attending copies none of the cached K/V.
     """
 
     FIRST_ROWS = 64
