@@ -285,24 +285,6 @@ class Tensor:
                 node._parents = ()
                 node.grad = None if node is not self else node.grad
 
-    # -- operator sugar -------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return _getitem(self, idx)
 
@@ -637,9 +619,10 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
     d = a.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layer_norm scale/shift must have shape ({d},)")
-    mu = a.data.mean(axis=-1, keepdims=True)
+    # sum / d gives .mean's bits without its Python-level wrapper
+    mu = a.data.sum(axis=-1, keepdims=True) / d
     centered = a.data - mu
-    var = (centered ** 2).mean(axis=-1, keepdims=True)
+    var = (centered ** 2).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     normed = centered * inv
     data = gamma.data * normed + beta.data
@@ -647,8 +630,8 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
     def backward(g):
         if a.requires_grad:
             gy = g * gamma.data
-            term = gy.mean(axis=-1, keepdims=True)
-            proj = (gy * normed).mean(axis=-1, keepdims=True)
+            term = gy.sum(axis=-1, keepdims=True) / d
+            proj = (gy * normed).sum(axis=-1, keepdims=True) / d
             a._accumulate(inv * (gy - term - normed * proj))
         if gamma.requires_grad:
             gamma._accumulate(_sum_to_shape(g * normed, gamma.shape))
@@ -676,8 +659,7 @@ def padding_mask(lengths, max_len: int) -> np.ndarray:
     return np.arange(max_len)[None, :] < lengths[:, None]
 
 
-def multi_head_attention(q, k, v, num_heads: int, mask: np.ndarray | None = None,
-                         return_weights: bool = False):
+def multi_head_attention(q, k, v, num_heads: int, mask: np.ndarray | None = None) -> Tensor:
     """Scaled dot-product attention with head splitting, as one graph node.
 
     ``q`` is [..., L_q, d]; ``k``/``v`` are [..., L_k, d] with the same
@@ -689,8 +671,7 @@ def multi_head_attention(q, k, v, num_heads: int, mask: np.ndarray | None = None
     d, which numpy's matmul hands to BLAS as it is, so ``q``/``k``/``v``
     may themselves be views, such as the filled rows of a decode cache.
     The backward pass works from the saved attention weights alone, so
-    they are the only [..., H, L_q, L_k] array the graph keeps.  With
-    ``return_weights`` the weights come back as a second, constant tensor.
+    they are the only [..., H, L_q, L_k] array the graph keeps.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     d = q.shape[-1]
@@ -703,11 +684,11 @@ def multi_head_attention(q, k, v, num_heads: int, mask: np.ndarray | None = None
     scale = 1.0 / math.sqrt(dk)
 
     def split(x: np.ndarray) -> np.ndarray:  # [..., L, d] -> [..., H, L, dk] view
-        return np.moveaxis(x.reshape(x.shape[:-1] + (num_heads, dk)), -2, -3)
+        return x.reshape(x.shape[:-1] + (num_heads, dk)).swapaxes(-2, -3)
 
     def merge(x: np.ndarray) -> np.ndarray:  # [..., H, L, dk] -> [..., L, d]
         lead = x.shape[:-3] + (x.shape[-2], d)
-        return np.moveaxis(x, -3, -2).reshape(lead)
+        return x.swapaxes(-3, -2).reshape(lead)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     probs = qh @ kh.swapaxes(-1, -2)
@@ -732,10 +713,7 @@ def multi_head_attention(q, k, v, num_heads: int, mask: np.ndarray | None = None
         if k.requires_grad:
             k._accumulate(merge(ds.swapaxes(-1, -2) @ qh))
 
-    out = _make(data, (q, k, v), backward, "attention")
-    if return_weights:
-        return out, Tensor(probs, dtype=probs.dtype)
-    return out
+    return _make(data, (q, k, v), backward, "attention")
 
 
 # --------------------------------------------------------------------------
@@ -775,7 +753,7 @@ class GradCheckReport:
         return "\n".join(lines)
 
 
-def grad_check(f, tensors, h: float = 1e-5, tol: float = 1e-4, names=None) -> GradCheckReport:
+def grad_check(f, tensors, h: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
     """Compare analytic gradients of scalar ``f()`` against central differences.
 
     ``f`` must rebuild its forward pass on every call (it is re-evaluated with
@@ -785,8 +763,7 @@ def grad_check(f, tensors, h: float = 1e-5, tol: float = 1e-4, names=None) -> Gr
     if not (1e-6 <= h <= 1e-4):
         raise ConfigurationError(f"step size h={h} outside [1e-6, 1e-4]")
     tensors = list(tensors)
-    if names is None:
-        names = [getattr(t, "name", "") or f"tensor{i}" for i, t in enumerate(tensors)]
+    names = [getattr(t, "name", "") or f"tensor{i}" for i, t in enumerate(tensors)]
     for t in tensors:
         if t.dtype != np.float64:
             raise ConfigurationError("grad_check requires float64 tensors; "

@@ -111,13 +111,6 @@ def _model_config(sections: dict, preset_name: str | None = None,
     return ModelConfig.from_dict(base)
 
 
-def _generator_config(sections: dict) -> tuple[GeneratorConfig, dict]:
-    values = dict(sections.get("data", {}))
-    extras = {k: values.pop(k) for k in ("count", "split_counts", "include_conditions")
-              if k in values}
-    return GeneratorConfig.from_dict(values), extras
-
-
 # --------------------------------------------------------------------------
 # run manifests
 # --------------------------------------------------------------------------
@@ -153,32 +146,26 @@ def write_run_manifest(out_dir, command: str, config_snapshot: dict, seed: int,
 
 def cmd_gen_data(args) -> int:
     started = time.perf_counter()
-    sections = load_config(args.config, args.set)
-    gen_cfg, extras = _generator_config(sections)
-    count = args.count if args.count is not None else int(extras.get("count", 200))
-    include_conditions = extras.get("include_conditions", True)
-    if args.no_conditions:
-        include_conditions = False
+    gen_cfg = GeneratorConfig.from_dict(load_config(args.config, args.set)["data"])
 
     splits = None
-    raw_counts = args.split_counts or extras.get("split_counts")
-    if raw_counts is not None:
-        if isinstance(raw_counts, str):
-            raw_counts = _parse_value(raw_counts)
-        counts = [int(c) for c in raw_counts]
-        if len(counts) != 3 or sum(counts) != count or min(counts) < 0:
-            raise InputError(f"--split-counts must be three counts summing to {count}")
-        bounds = np.cumsum([0] + counts)
+    if args.split_counts is not None:
+        counts = args.split_counts.split(",")
+        if (len(counts) != 3 or not all(c.strip().isdecimal() for c in counts)
+                or sum(int(c) for c in counts) != args.count):
+            raise InputError(f"--split-counts must be three integer counts summing to "
+                             f"{args.count}, got {args.split_counts!r}")
+        bounds = np.cumsum([0] + [int(c) for c in counts])
         splits = {name: list(range(bounds[i], bounds[i + 1]))
                   for i, name in enumerate(("train", "val", "test"))}
 
     out = Path(args.out)
-    manifest = generate_dataset(gen_cfg, count, out, splits=splits,
-                                include_conditions=include_conditions)
+    manifest = generate_dataset(gen_cfg, args.count, out, splits=splits,
+                                include_conditions=not args.no_conditions)
     outputs = [str(out / "corpus.json")]
     input_hashes = {"config": _hash_file(args.config)} if args.config else {}
     write_run_manifest(out, "gen-data",
-                       {"data": gen_cfg.to_dict(), "count": count,
+                       {"data": gen_cfg.to_dict(), "count": args.count,
                         "dataset_fingerprint": dataset_fingerprint(out)},
                        gen_cfg.seed, input_hashes, outputs, started)
     print(f"wrote {manifest['count']} pairs to {out} "
@@ -411,6 +398,14 @@ def cmd_gradcheck(args) -> int:
 # --------------------------------------------------------------------------
 
 
+def positive_int(raw: str) -> int:
+    """Argparse type for counts and lengths: below 1 exits 2 before any work."""
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trailergen",
@@ -426,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="synthesize a movie/trailer corpus")
     add_common(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--count", type=int, default=None)
+    p.add_argument("--count", type=positive_int, default=200)
     p.add_argument("--split-counts", default=None, metavar="TRAIN,VAL,TEST")
     p.add_argument("--no-conditions", action="store_true")
     p.set_defaults(func=cmd_gen_data)
@@ -451,27 +446,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split", default="test")
-    p.add_argument("--k", action="append", type=int, metavar="K",
+    p.add_argument("--k", action="append", type=positive_int, metavar="K",
                    help="top-k values (repeatable; default 1,5,10)")
-    p.add_argument("--max-len", type=int, default=None)
+    p.add_argument("--max-len", type=positive_int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--use-conditions", action="store_true")
-    p.add_argument("--baseline-trials", type=int, default=200)
+    p.add_argument("--baseline-trials", type=positive_int, default=200)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("infer", help="decode a trailer for one movie file")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--movie", required=True)
     p.add_argument("--condition", default=None)
-    p.add_argument("--topk", type=int, default=5)
-    p.add_argument("--max-len", type=int, default=None)
+    p.add_argument("--topk", type=positive_int, default=5)
+    p.add_argument("--max-len", type=positive_int, default=None)
     p.add_argument("--out", required=True,
                    help="output sequence manifest path (.json)")
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("gradcheck", help="verify gradients against finite differences")
-    p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("--model-seeds", type=int, default=3)
+    p.add_argument("--seeds", type=positive_int, default=20)
+    p.add_argument("--model-seeds", type=positive_int, default=3)
     p.add_argument("--h", type=float, default=1e-5)
     p.add_argument("--tol", type=float, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)

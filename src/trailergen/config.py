@@ -14,9 +14,10 @@ CONDITION_MODES = ("none", "encoded", "contextualized")
 
 # Keys that were removed, with the value a config saved before their removal
 # holds when it used the behaviour the code still has (layer norm's epsilon
-# is fixed at 1e-5).
+# is fixed at 1e-5; every residual block is post-norm).
 RETIRED_MODEL_KEYS = {"position_mode": "sinusoidal", "score_fusion": "broadcast",
-                      "stop_score_gradient": False, "layer_norm_eps": 1e-5}
+                      "stop_score_gradient": False, "layer_norm_eps": 1e-5,
+                      "pre_norm": False}
 
 _KINDS = {bool: "true or false", int: "an integer", float: "a finite number",
           str: "a string", tuple: "a list"}
@@ -69,7 +70,6 @@ class ModelConfig:
     context_layers: int = 4
     decoder_layers: int = 5
     max_len: int = 512           # longest unframed sequence the position table covers
-    pre_norm: bool = False       # False = post-norm residual blocks
     use_trailerness_encoder: bool = True   # ablation switch, no other code path change
     use_context_encoder: bool = True       # ablation switch
     eos_rule: str = "margin"     # "margin": EOS beats every movie shot; "threshold": fixed cutoff

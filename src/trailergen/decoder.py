@@ -31,11 +31,10 @@ class DecodeCache:
 
     Row t of layer i's [B, rows, d] self-attention buffers holds the K and V
     that layer's self-attention projected for decoded row t; ``length`` rows
-    are filled.  With ``pre_norm`` these are projections of the normed layer
-    input, since that is what ``self_attn`` sees.  A buffer is allocated at
-    its layer's first write, in the dtype of the projections, with
-    ``FIRST_ROWS`` rows, and doubles when full, up to ``capacity`` rows; so a
-    decode that stops early holds few rows whatever its cap.
+    are filled.  A buffer is allocated at its layer's first write, in the
+    dtype of the projections, with ``FIRST_ROWS`` rows, and doubles when
+    full, up to ``capacity`` rows; so a decode that stops early holds few
+    rows whatever its cap.
 
     Layer i's cross-attention K and V [B, L, d] are the memory's projections,
     made at the first step and reused at every later one.  They are cut to
@@ -95,8 +94,7 @@ class DecodeCache:
 class DecoderStack(Module):
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         self.layers = [
-            DecoderLayer(cfg.d_model, cfg.num_heads, cfg.ff_dim, rng,
-                         pre_norm=cfg.pre_norm)
+            DecoderLayer(cfg.d_model, cfg.num_heads, cfg.ff_dim, rng)
             for _ in range(cfg.decoder_layers)
         ]
 

@@ -21,8 +21,7 @@ class TrailernessEncoder(Module):
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         self.layers = [
-            EncoderLayer(cfg.d_model, cfg.num_heads, cfg.ff_dim, rng,
-                         pre_norm=cfg.pre_norm)
+            EncoderLayer(cfg.d_model, cfg.num_heads, cfg.ff_dim, rng)
             for _ in range(cfg.trailerness_layers)
         ]
         self.head = Linear(cfg.d_model, 1, rng)
@@ -51,8 +50,7 @@ class ContextEncoder(Module):
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         self.layers = [
-            EncoderLayer(cfg.d_model, cfg.num_heads, cfg.ff_dim, rng,
-                         pre_norm=cfg.pre_norm)
+            EncoderLayer(cfg.d_model, cfg.num_heads, cfg.ff_dim, rng)
             for _ in range(cfg.context_layers)
         ]
 

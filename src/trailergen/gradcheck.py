@@ -207,21 +207,17 @@ def _check_attention_layer(rng):
     return lambda: _scalarize(mha(x, x, x), r), [x] + mha.parameters()
 
 
-def _make_encoder_layer_check(pre_norm):
-    def build(rng):
-        enc = EncoderLayer(4, 2, 8, rng, pre_norm=pre_norm)
-        x, r = _leaf(rng, 3, 4), _probe(rng, (3, 4))
-        return lambda: _scalarize(enc(x), r), [x] + enc.parameters()
-    return build
+def _check_encoder_layer(rng):
+    enc = EncoderLayer(4, 2, 8, rng)
+    x, r = _leaf(rng, 3, 4), _probe(rng, (3, 4))
+    return lambda: _scalarize(enc(x), r), [x] + enc.parameters()
 
 
-def _make_decoder_layer_check(pre_norm):
-    def build(rng):
-        dec = DecoderLayer(4, 2, 8, rng, pre_norm=pre_norm)
-        x, mem, r = _leaf(rng, 3, 4), _leaf(rng, 5, 4), _probe(rng, (3, 4))
-        m = ad.causal_mask(3)
-        return lambda: _scalarize(dec(x, mem, m, None), r), [x, mem] + dec.parameters()
-    return build
+def _check_decoder_layer(rng):
+    dec = DecoderLayer(4, 2, 8, rng)
+    x, mem, r = _leaf(rng, 3, 4), _leaf(rng, 5, 4), _probe(rng, (3, 4))
+    m = ad.causal_mask(3)
+    return lambda: _scalarize(dec(x, mem, m, None), r), [x, mem] + dec.parameters()
 
 
 # the loss checks run on a padded batch of two pairs, the second one slot short
@@ -310,10 +306,9 @@ CHECKS = {
     "feed_forward": _check_feed_forward,
     "layer_norm_module": _check_layer_norm_module,
     "attention_layer": _check_attention_layer,
-    "encoder_layer_post": _make_encoder_layer_check(False),
-    "encoder_layer_pre": _make_encoder_layer_check(True),
-    "decoder_layer_post": _make_decoder_layer_check(False),
-    "decoder_layer_pre": _make_decoder_layer_check(True),
+    # draws are keyed by name, so these keep the "_post" suffix and their numbers
+    "encoder_layer_post": _check_encoder_layer,
+    "decoder_layer_post": _check_decoder_layer,
     "trailerness_loss": _check_trailerness_loss,
     "reconstruction_loss": _check_reconstruction_loss,
     "kl_loss": _check_kl_loss,

@@ -85,25 +85,15 @@ class MultiHeadAttention(Module):
 
 
 class EncoderLayer(Module):
-    """Self-attention + feed-forward residual block.
+    """Self-attention + feed-forward residual block, normed after each add (post-norm)."""
 
-    ``pre_norm=False`` (default) normalises after each residual add; the
-    pre-norm variant normalises the branch input instead.
-    """
-
-    def __init__(self, d: int, num_heads: int, ff_dim: int, rng: np.random.Generator,
-                 pre_norm: bool = False):
+    def __init__(self, d: int, num_heads: int, ff_dim: int, rng: np.random.Generator):
         self.attn = MultiHeadAttention(d, num_heads, rng)
         self.ff = FeedForward(d, ff_dim, rng)
         self.norm1 = LayerNorm(d)
         self.norm2 = LayerNorm(d)
-        self.pre_norm = pre_norm
 
     def __call__(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        if self.pre_norm:
-            nx = self.norm1(x)
-            h = ad.add(x, self.attn(nx, nx, nx, mask))
-            return ad.add(h, self.ff(self.norm2(h)))
         h = self.norm1(ad.add(x, self.attn(x, x, x, mask)))
         return self.norm2(ad.add(h, self.ff(h)))
 
@@ -111,26 +101,19 @@ class EncoderLayer(Module):
 class DecoderLayer(Module):
     """Masked self-attention, cross-attention over the encoder memory, feed-forward."""
 
-    def __init__(self, d: int, num_heads: int, ff_dim: int, rng: np.random.Generator,
-                 pre_norm: bool = False):
+    def __init__(self, d: int, num_heads: int, ff_dim: int, rng: np.random.Generator):
         self.self_attn = MultiHeadAttention(d, num_heads, rng)
         self.cross_attn = MultiHeadAttention(d, num_heads, rng)
         self.ff = FeedForward(d, ff_dim, rng)
         self.norm1 = LayerNorm(d)
         self.norm2 = LayerNorm(d)
         self.norm3 = LayerNorm(d)
-        self.pre_norm = pre_norm
 
     def __call__(self, x: Tensor, memory: Tensor,
                  self_mask: np.ndarray | None = None,
                  cross_mask: np.ndarray | None = None, kv=None, cross_kv=None) -> Tensor:
         """``kv`` and ``cross_kv`` are the self- and cross-attention's cache
         hooks (see ``MultiHeadAttention``)."""
-        if self.pre_norm:
-            nx = self.norm1(x)
-            h = ad.add(x, self.self_attn(nx, nx, nx, self_mask, kv))
-            h2 = ad.add(h, self.cross_attn(self.norm2(h), memory, memory, cross_mask, cross_kv))
-            return ad.add(h2, self.ff(self.norm3(h2)))
         h = self.norm1(ad.add(x, self.self_attn(x, x, x, self_mask, kv)))
         h2 = self.norm2(ad.add(h, self.cross_attn(h, memory, memory, cross_mask, cross_kv)))
         return self.norm3(ad.add(h2, self.ff(h2)))

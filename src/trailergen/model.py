@@ -74,8 +74,7 @@ class TrailerModel(Module):
                 self.condition_proj = Linear(cond_dim, d, streams["condition"])
             if cfg.condition_mode == "contextualized":
                 self.condition_layer = EncoderLayer(
-                    d, cfg.num_heads, cfg.ff_dim, streams["condition"],
-                    pre_norm=cfg.pre_norm)
+                    d, cfg.num_heads, cfg.ff_dim, streams["condition"])
         self._pos_const = positional_encoding(cfg.max_len, d)
 
     # -- shared plumbing ------------------------------------------------------

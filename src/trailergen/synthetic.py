@@ -3,7 +3,7 @@
 Movies are clouds of cluster-structured unit-ish embeddings.  Each shot has
 a latent "appeal" that is a pure function of its embedding (affinity to a
 corpus-wide style direction plus a per-cluster bonus), trailers take the
-top-m shots by appeal in a deterministic, non-chronological order, and a
+top-m shots in descending order of appeal (not chronologically), and a
 configurable fraction of trailer slots is replaced by out-of-movie insert
 shots.  Everything is reproducible from (config, pair index) alone.
 """
@@ -21,7 +21,8 @@ from .autodiff import ConfigurationError
 from .config import config_from_dict
 from .shots import ShotSequence, read_sequence, write_sequence
 
-ORDER_RULES = ("appeal_sorted", "cluster_interleave")
+# removed keys, at the value that selects what the code still does
+RETIRED_GENERATOR_KEYS = {"order_rule": "appeal_sorted"}
 
 # sub-stream tags so corpus constants, pair draws, and condition draws never collide
 _CONSTANTS_TAG = 0
@@ -37,7 +38,6 @@ class GeneratorConfig:
     clusters: int = 12
     noise_sigma: float = 0.05               # per-dim noise on selected trailer shots
     insert_prob: float = 0.05
-    order_rule: str = "appeal_sorted"
     seed: int = 0
 
     def validate(self) -> "GeneratorConfig":
@@ -56,8 +56,6 @@ class GeneratorConfig:
             raise ConfigurationError(f"insert_prob must be in [0, 0.5), got {self.insert_prob}")
         if self.noise_sigma < 0:
             raise ConfigurationError("noise_sigma must be nonnegative")
-        if self.order_rule not in ORDER_RULES:
-            raise ConfigurationError(f"order_rule must be one of {ORDER_RULES}")
         if self.clusters < 1:
             raise ConfigurationError("clusters must be >= 1")
         return self
@@ -67,7 +65,7 @@ class GeneratorConfig:
 
     @classmethod
     def from_dict(cls, values: dict) -> "GeneratorConfig":
-        return config_from_dict(cls, values, "generator")
+        return config_from_dict(cls, values, "generator", RETIRED_GENERATOR_KEYS)
 
 
 def corpus_constants(cfg: GeneratorConfig):
@@ -89,28 +87,6 @@ def appeal_of(embeddings: np.ndarray, cfg: GeneratorConfig) -> np.ndarray:
     return unit @ style + bonus[nearest]
 
 
-def _order_selection(selected: np.ndarray, appeal: np.ndarray,
-                     embeddings: np.ndarray, cfg: GeneratorConfig) -> np.ndarray:
-    """Arrange the selected shot indices per the configured rule (0-based in/out)."""
-    if cfg.order_rule == "appeal_sorted":
-        return selected  # already sorted by descending appeal
-    centroids, _, bonus = corpus_constants(cfg)
-    unit = embeddings[selected] / np.linalg.norm(embeddings[selected], axis=1, keepdims=True)
-    groups: dict[int, list[int]] = {}
-    for pos, idx in enumerate(selected):
-        cluster = int(np.argmax(unit[pos] @ centroids.T))
-        groups.setdefault(cluster, []).append(int(idx))
-    # visit clusters by descending bonus (id as tie-break), round-robin inside
-    cluster_order = sorted(groups, key=lambda c: (-bonus[c], c))
-    queues = {c: list(groups[c]) for c in cluster_order}  # appeal-desc within cluster
-    out = []
-    while any(queues.values()):
-        for c in cluster_order:
-            if queues[c]:
-                out.append(queues[c].pop(0))
-    return np.array(out, dtype=np.int64)
-
-
 def generate_pair(cfg: GeneratorConfig, pair_seed: int) -> tuple[ShotSequence, ShotSequence]:
     """One deterministic (movie, trailer-with-source-indices) pair."""
     cfg.validate()
@@ -130,10 +106,9 @@ def generate_pair(cfg: GeneratorConfig, pair_seed: int) -> tuple[ShotSequence, S
     appeal = appeal_of(movie_emb, cfg)
     by_appeal = np.lexsort((np.arange(n), -appeal))  # desc appeal, ties to lower index
     selected = by_appeal[:m]
-    ordered = _order_selection(selected, appeal, movie_emb, cfg)
 
-    trailer_emb = movie_emb[ordered] + rng.normal(size=(m, cfg.d)) * cfg.noise_sigma
-    source = ordered.astype(np.int64) + 1  # 1-based
+    trailer_emb = movie_emb[selected] + rng.normal(size=(m, cfg.d)) * cfg.noise_sigma
+    source = selected.astype(np.int64) + 1  # 1-based
 
     # inserts: draws are fixed-size so the stream shape never depends on outcomes
     insert_mask = rng.random(m) < cfg.insert_prob

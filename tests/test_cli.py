@@ -148,6 +148,22 @@ class TestGenData:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    # "7" used to raise a TypeError, and int() truncated "6.5,1,1" to a valid split
+    @pytest.mark.parametrize("counts", ["7", "6.5,1,1", "6,1", "6,x,1"])
+    def test_malformed_split_counts_exit_2(self, tmp_path, capsys, counts):
+        rc = main(["gen-data", "--out", str(tmp_path / "x"), "--count", "8",
+                   "--split-counts", counts] + TINY_DATA)
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --split-counts must be three integer counts summing to 8, got {counts!r}"]
+        assert not (tmp_path / "x").exists()
+
+    def test_count_is_a_flag_not_a_data_key(self, tmp_path, capsys):
+        rc = main(["gen-data", "--out", str(tmp_path / "x"), "--set", "data.count=5"])
+        assert rc == 2
+        assert "count" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_seed_recorded_in_run_manifest(self, data_dir):
         manifest = json.loads((data_dir / "run_manifest.json").read_text())
         assert manifest["seed"] == 7
@@ -441,6 +457,28 @@ class TestInfer:
                    "--out", str(tmp_path / "o.json")])
         assert rc == 2
         assert "conditioning" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------------
+# numeric flags
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command, flag", [
+    ("gen-data", "--count"), ("eval", "--max-len"), ("eval", "--k"),
+    ("eval", "--baseline-trials"), ("infer", "--max-len"), ("infer", "--topk"),
+    ("gradcheck", "--seeds"), ("gradcheck", "--model-seeds")])
+def test_count_flags_below_one_exit_2_at_parse_time(tmp_path, capsys, command, flag):
+    # the paths do not exist, so only the parser can be the one that stops
+    missing = str(tmp_path / "missing")
+    required = {"gen-data": ["--out", missing],
+                "eval": ["--checkpoint", missing, "--data", missing],
+                "infer": ["--checkpoint", missing, "--movie", missing, "--out", missing],
+                "gradcheck": []}
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, *required[command], flag, "0"])
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
 
 
 # --------------------------------------------------------------------------

@@ -11,12 +11,14 @@ import oracles
 from trailergen import autodiff as ad
 from trailergen import model as model_module
 from trailergen.autodiff import ConfigurationError, ShapeError, Tensor
-from trailergen.config import ModelConfig, preset, with_overrides
+from trailergen.config import RETIRED_MODEL_KEYS, ModelConfig, preset, with_overrides
 from trailergen.decoder import (DecodeCache, DecoderStack, detect_eos, match_nearest,
                                 match_similarities)
 from trailergen.layers import Linear
 from trailergen.model import TrailerModel
 from trailergen.shots import ShotSequence
+from trailergen.synthetic import RETIRED_GENERATOR_KEYS, GeneratorConfig
+from trailergen.training import RETIRED_TRAIN_KEYS, TrainConfig
 
 
 def small_cfg(**kw):
@@ -50,7 +52,7 @@ def test_config_validation_catches_bad_shapes():
 
 
 def test_config_round_trip_through_dict():
-    cfg = small_cfg(pre_norm=True, feedback="retrieved")
+    cfg = small_cfg(no_repeat=True, feedback="retrieved")
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
     with pytest.raises(ConfigurationError):
         ModelConfig.from_dict({"d_model": 8, "nonsense": 1})
@@ -67,19 +69,27 @@ def test_config_counts_checked_before_use(field, value):
 def test_config_from_dict_retired_keys_and_types():
     old = {**small_cfg().to_dict(), "position_mode": "sinusoidal",
            "score_fusion": "broadcast", "stop_score_gradient": False,
-           "layer_norm_eps": 1e-5}
+           "layer_norm_eps": 1e-5, "pre_norm": False}
     assert ModelConfig.from_dict(old) == small_cfg()
     for key, value in (("position_mode", "learned"), ("score_fusion", "projected"),
                        ("stop_score_gradient", True), ("stop_score_gradient", 0),
-                       ("layer_norm_eps", 1e-6)):
+                       ("layer_norm_eps", 1e-6), ("pre_norm", True)):
         with pytest.raises(ConfigurationError, match=key):
             ModelConfig.from_dict({**old, key: value})
-    for key, value in (("d_model", "abc"), ("d_model", 8.0), ("pre_norm", "yes"),
+    for key, value in (("d_model", "abc"), ("d_model", 8.0), ("no_repeat", "yes"),
                        ("eos_threshold", "high"), ("eos_threshold", float("inf")),
                        ("eos_rule", 1)):
         with pytest.raises(ConfigurationError, match=key):
             ModelConfig.from_dict({key: value})
     assert ModelConfig.from_dict({"eos_threshold": 1}).eos_threshold == 1.0
+
+
+@pytest.mark.parametrize("cls, retired", [
+    (ModelConfig, RETIRED_MODEL_KEYS), (TrainConfig, RETIRED_TRAIN_KEYS),
+    (GeneratorConfig, RETIRED_GENERATOR_KEYS)])
+def test_retired_keys_are_not_fields(cls, retired):
+    # a key both retired and a field could only ever be set to its retired value
+    assert not set(retired) & {f.name for f in dataclasses.fields(cls)}
 
 
 def test_presets_exist_and_validate():
@@ -487,8 +497,8 @@ def test_cached_decode_matches_reference_on_criterion_3_configurations():
     # criterion 3's 100 random configurations, decoded by the cached loop and
     # by the uncached reference at float64.  The draws criterion 3 makes for
     # its trailer tampering are made too, so trial i is its trial i; the trial
-    # number adds pre-norm, retrieved feedback, no-repeat, conditions and the
-    # threshold rule in turn, from a separate stream.
+    # number adds retrieved feedback, no-repeat, conditions and the threshold
+    # rule in turn, with condition rows from a separate stream.
     rng = np.random.default_rng(7)
     extra = np.random.default_rng(70)
     steps = []
@@ -507,7 +517,6 @@ def test_cached_decode_matches_reference_on_criterion_3_configurations():
             cfg = ModelConfig(d_model=d, num_heads=heads, ff_dim=2 * d,
                               trailerness_layers=depths[0], context_layers=depths[1],
                               decoder_layers=depths[2], max_len=32,
-                              pre_norm=trial % 2 == 1,
                               feedback="retrieved" if trial % 4 >= 2 else "predicted",
                               no_repeat=trial % 8 >= 4, condition_mode=mode,
                               eos_rule="threshold" if trial % 5 < 3 else "margin",

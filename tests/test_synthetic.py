@@ -1,4 +1,4 @@
-"""Synthetic corpus: determinism, solvability guarantees, ordering rules,
+"""Synthetic corpus: determinism, solvability guarantees, trailer order,
 dataset files, and split handling."""
 
 import json
@@ -37,8 +37,6 @@ def test_generator_config_validation():
         GeneratorConfig(insert_prob=0.5).validate()
     with pytest.raises(ConfigurationError):
         GeneratorConfig(noise_sigma=-0.1).validate()
-    with pytest.raises(ConfigurationError):
-        GeneratorConfig(order_rule="chronological").validate()
 
 
 def test_generator_config_dict_round_trip():
@@ -46,6 +44,14 @@ def test_generator_config_dict_round_trip():
     assert GeneratorConfig.from_dict(cfg.to_dict()) == cfg
     with pytest.raises(ConfigurationError):
         GeneratorConfig.from_dict({"d": 8, "mystery": 1})
+
+
+def test_retired_order_rule_loads_only_at_appeal_sorted():
+    # a config written before the key was removed may carry it
+    old = {**clean_cfg().to_dict(), "order_rule": "appeal_sorted"}
+    assert GeneratorConfig.from_dict(old) == clean_cfg()
+    with pytest.raises(ConfigurationError, match="order_rule"):
+        GeneratorConfig.from_dict({**old, "order_rule": "cluster_interleave"})
 
 
 # ---------------------------------------------------------------------------
@@ -110,22 +116,6 @@ def test_appeal_sorted_order_is_descending():
         appeal = appeal_of(movie.embeddings, cfg)
         got = appeal[trailer.source_indices - 1]
         assert np.all(np.diff(got) <= 1e-12)
-
-
-def test_cluster_interleave_visits_clusters_round_robin():
-    cfg = clean_cfg(order_rule="cluster_interleave")
-    movie, trailer = generate_pair(cfg, 2)
-    centroids, _, bonus = corpus_constants(cfg)
-    unit = movie.embeddings / np.linalg.norm(movie.embeddings, axis=1, keepdims=True)
-    shot_cluster = np.argmax(unit @ centroids.T, axis=1)
-    seq = [int(shot_cluster[i - 1]) for i in trailer.source_indices]
-    # same multiset of shots as the appeal_sorted rule, different arrangement
-    sorted_cfg = clean_cfg()
-    _, t_sorted = generate_pair(sorted_cfg, 2)
-    assert sorted(trailer.source_indices) == sorted(t_sorted.source_indices)
-    # no cluster repeats before every nonempty cluster queue was visited once
-    first_round = seq[:len(set(seq))]
-    assert len(first_round) == len(set(first_round))
 
 
 def test_ground_truth_scores_one_at_sources_when_noise_free():

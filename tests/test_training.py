@@ -551,7 +551,8 @@ class TestCheckpoint:
         path = result.checkpoint_path
         self._with_header_entries(
             path, {"position_mode": "sinusoidal", "score_fusion": "broadcast",
-                   "stop_score_gradient": False, "layer_norm_eps": 1e-5},
+                   "stop_score_gradient": False, "layer_norm_eps": 1e-5,
+                   "pre_norm": False},
             {"normalize_by_length": False})
         ck = load_checkpoint(path)
         assert ck.model_config == SLIM
@@ -567,6 +568,7 @@ class TestCheckpoint:
         ({"stop_score_gradient": True}, {}, "stop_score_gradient"),
         ({}, {"normalize_by_length": True}, "normalize_by_length"),
         ({"layer_norm_eps": 1e-6}, {}, "layer_norm_eps"),
+        ({"pre_norm": True}, {}, "pre_norm"),
     ])
     def test_retired_switch_set_otherwise_rejected(self, tmp_path, model_entries,
                                                    train_entries, key):
