@@ -670,8 +670,9 @@ def multi_head_attention(q, k, v, num_heads: int, mask: np.ndarray | None = None
     copies: each [L, dk] head slice has unit column stride and row stride
     d, which numpy's matmul hands to BLAS as it is, so ``q``/``k``/``v``
     may themselves be views, such as the filled rows of a decode cache.
-    The backward pass works from the saved attention weights alone, so
-    they are the only [..., H, L_q, L_k] array the graph keeps.
+    The backward pass works from the saved attention weights and the op's
+    own output, so the weights are the only [..., H, L_q, L_k] array the
+    graph keeps.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     d = q.shape[-1]
@@ -703,9 +704,10 @@ def multi_head_attention(q, k, v, num_heads: int, mask: np.ndarray | None = None
         gh = split(g)
         if v.requires_grad:
             v._accumulate(merge(probs.swapaxes(-1, -2) @ gh))
-        # dS = P * (dP - rowsum(dP * P)), folded with the score scale
+        # dS = P * (dP - D), folded with the score scale, where
+        # D = rowsum(dP * P) = rowsum(dO * O) sums over dk, not over L_k
         ds = gh @ vh.swapaxes(-1, -2)
-        ds -= (ds * probs).sum(axis=-1, keepdims=True)
+        ds -= (gh * split(data)).sum(axis=-1, keepdims=True)
         ds *= probs
         ds *= scale
         if q.requires_grad:

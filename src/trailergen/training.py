@@ -1,8 +1,11 @@
 """Optimization loop: AdamW with decoupled decay, linear-warmup cosine
-schedule, variable-length batching, checkpointing, and seeded determinism.
+schedule, length-bucketed batching, checkpointing, and seeded determinism.
 
+Epochs are length-bucketed and batch-shuffled: each epoch shuffles the
+pairs, sorts each window of consecutive pairs by movie length, cuts the
+windows into batches and shuffles the batches, so a batch pads little.
 Shuffling is stateless - epoch e uses the stream seeded by (seed, e) - so
-resuming from a checkpoint replays the exact batch order without having to
+resuming from a checkpoint replays the exact batches without having to
 serialize RNG state.
 """
 
@@ -27,6 +30,11 @@ from .shots import trailerness_ground_truth
 from .synthetic import PairExample
 
 _SHUFFLE_TAG = 3  # rng domain separator against model/generator streams
+# Pairs are sorted by length within windows of this many batches, not over
+# the whole corpus: a window bounds the padding nearly as well as a full
+# sort, and on a corpus of more than one window the make-up of the batches
+# still changes from epoch to epoch.
+_BUCKET_WINDOW = 8
 
 # removed switch -> the value a checkpoint written before its removal holds
 RETIRED_TRAIN_KEYS = {"normalize_by_length": False}
@@ -55,8 +63,10 @@ class TrainConfig:
             raise ConfigurationError("lr_peak must be positive")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
-        if self.epochs < 0:
-            raise ConfigurationError("epochs must be >= 0")
+        if self.epochs < 1:
+            raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if len(self.loss_weights) != 3 or any(w < 0 for w in self.loss_weights):
             raise ConfigurationError("loss_weights must be three nonnegative reals")
         if not 0.0 <= self.warmup_frac < 1.0:
@@ -226,8 +236,24 @@ class TrainResult:
     config: TrainConfig
 
 
-def epoch_order(seed: int, epoch: int, count: int) -> np.ndarray:
-    return np.random.default_rng([seed, _SHUFFLE_TAG, epoch]).permutation(count)
+def epoch_batches(seed: int, epoch: int, lengths, batch_size: int) -> list[np.ndarray]:
+    """The pair indices of each batch of one epoch, in training order.
+
+    ``lengths`` holds each pair's movie length in shots.  The pairs are
+    shuffled, each window of ``_BUCKET_WINDOW * batch_size`` consecutive
+    pairs is stable-sorted by length and cut into batches, and the batches
+    are shuffled.  The result depends on the arguments alone.
+    """
+    rng = np.random.default_rng([seed, _SHUFFLE_TAG, epoch])
+    lengths = np.asarray(lengths)
+    order = rng.permutation(len(lengths))
+    window = _BUCKET_WINDOW * batch_size
+    batches = []
+    for lo in range(0, len(order), window):
+        part = order[lo:lo + window]
+        part = part[np.argsort(lengths[part], kind="stable")]
+        batches.extend(part[i:i + batch_size] for i in range(0, len(part), batch_size))
+    return [batches[i] for i in rng.permutation(len(batches))]
 
 
 def suggested_decode_cap(examples: list[PairExample]) -> int:
@@ -277,6 +303,7 @@ def train(examples: list[PairExample], cfg: TrainConfig, model_cfg: ModelConfig,
     else:
         weights = cfg.loss_weights
 
+    lengths = [len(ex.movie) for ex in examples]
     gt_cache: dict = {}
     history: list[dict] = []
     # newest epoch-aligned checkpoint of this run; a model.ckpt left in
@@ -290,10 +317,9 @@ def train(examples: list[PairExample], cfg: TrainConfig, model_cfg: ModelConfig,
                             "suggested_max_len": suggested_decode_cap(examples)})
 
     for epoch in range(start_epoch, epochs_total):
-        order = epoch_order(cfg.seed, epoch, len(examples))
-        for lo in range(0, len(examples), cfg.batch_size):
-            chunk = [examples[i] for i in order[lo:lo + cfg.batch_size]]
-            batch = pad_batch(chunk, gt_cache, use_conditions=cfg.use_conditions)
+        for indices in epoch_batches(cfg.seed, epoch, lengths, cfg.batch_size):
+            batch = pad_batch([examples[i] for i in indices], gt_cache,
+                              use_conditions=cfg.use_conditions)
             try:
                 loss, breakdown = batch_loss(model, batch, weights)
                 model.zero_grad()

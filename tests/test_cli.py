@@ -228,6 +228,18 @@ class TestTrain:
         assert len(lines) == 1
         assert lines[0].startswith("error: ") and key in lines[0]
 
+    @pytest.mark.parametrize("flag, value", [("--epochs", "0"), ("--seed", "-1")])
+    def test_epochs_or_seed_flag_out_of_range_exit_2(self, data_dir, tmp_path, capsys,
+                                                     flag, value):
+        out = tmp_path / "run"
+        rc = main(["train", "--data", str(data_dir), "--out", str(out),
+                   flag, value] + TINY_MODEL)
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and flag[2:] in lines[0]
+        assert not (out / "model.ckpt").exists()
+
     def test_flags_override_config_entries(self, data_dir, tmp_path):
         out = tmp_path / "flags"
         rc = main(["train", "--data", str(data_dir), "--out", str(out),

@@ -1,9 +1,11 @@
 """Tests for the optimization loop: schedule, optimizer, batching,
 checkpointing, and deterministic resume."""
 
+import itertools
 import json
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from trailergen.model import TrailerModel
 from trailergen.shots import trailerness_ground_truth
 from trailergen.synthetic import GeneratorConfig, PairExample, generate_pair
 from trailergen.training import (AdamW, TrainConfig, TrainingDiverged,
-                                 batch_loss, clip_gradients, epoch_order,
+                                 batch_loss, clip_gradients, epoch_batches,
                                  load_checkpoint, lr_at_step, pad_batch,
                                  restore_model_and_optimizer, save_checkpoint,
                                  suggested_decode_cap, train)
@@ -282,24 +284,58 @@ class TestBatchLoss:
 # --------------------------------------------------------------------------
 
 class TestEpochOrder:
+    LENGTHS = np.random.default_rng(0).integers(1, 40, size=50)  # with ties
+
     def test_is_a_permutation(self):
-        order = epoch_order(seed=0, epoch=0, count=17)
-        assert sorted(order.tolist()) == list(range(17))
+        for count, batch_size in ((17, 4), (50, 3), (1, 8)):
+            batches = epoch_batches(seed=0, epoch=0, lengths=self.LENGTHS[:count],
+                                    batch_size=batch_size)
+            assert len(batches) == math.ceil(count / batch_size)
+            assert all(1 <= len(b) <= batch_size for b in batches)
+            flat = np.concatenate(batches)
+            assert sorted(flat.tolist()) == list(range(count))
 
     def test_stateless_and_deterministic(self):
-        a = epoch_order(seed=5, epoch=3, count=50)
-        b = epoch_order(seed=5, epoch=3, count=50)
-        np.testing.assert_array_equal(a, b)
+        a = epoch_batches(seed=5, epoch=3, lengths=self.LENGTHS, batch_size=2)
+        b = epoch_batches(seed=5, epoch=3, lengths=self.LENGTHS, batch_size=2)
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
 
     def test_epochs_differ(self):
-        a = epoch_order(seed=5, epoch=0, count=50)
-        b = epoch_order(seed=5, epoch=1, count=50)
-        assert not np.array_equal(a, b)
+        a = epoch_batches(seed=5, epoch=0, lengths=self.LENGTHS, batch_size=2)
+        b = epoch_batches(seed=5, epoch=1, lengths=self.LENGTHS, batch_size=2)
+        assert not np.array_equal(np.concatenate(a), np.concatenate(b))
 
     def test_seeds_differ(self):
-        a = epoch_order(seed=0, epoch=0, count=50)
-        b = epoch_order(seed=1, epoch=0, count=50)
-        assert not np.array_equal(a, b)
+        a = epoch_batches(seed=0, epoch=0, lengths=self.LENGTHS, batch_size=2)
+        b = epoch_batches(seed=1, epoch=0, lengths=self.LENGTHS, batch_size=2)
+        assert not np.array_equal(np.concatenate(a), np.concatenate(b))
+
+    def test_batches_of_a_window_follow_length(self):
+        # 50 pairs in windows of 8 * 2 = 16 consecutive pairs of the shuffle
+        lengths = self.LENGTHS
+        batches = epoch_batches(seed=2, epoch=4, lengths=lengths, batch_size=2)
+        shuffle = np.random.default_rng([2, training._SHUFFLE_TAG, 4]).permutation(50)
+        window_of = shuffle.argsort() // (training._BUCKET_WINDOW * 2)
+        for batch in batches:
+            assert len(set(window_of[batch])) == 1
+        for a, b in itertools.combinations(batches, 2):
+            if window_of[a[0]] == window_of[b[0]]:
+                low, high = sorted((a, b), key=lambda x: lengths[x].min())
+                assert lengths[low].max() <= lengths[high].min()
+
+    def test_padding_on_criterion_5_lengths(self):
+        # the 500 training movies of the acceptance suite's generalization run;
+        # a plain shuffle cut into batches of 8 pads them to about 1.5x
+        cfg = GeneratorConfig(seed=21)
+        lengths = np.array([len(generate_pair(cfg, cfg.seed + i)[0]) for i in range(500)])
+        framed = lengths + 2
+        unpadded = int((framed ** 2).sum())
+        for epoch in range(3):
+            batches = epoch_batches(seed=5, epoch=epoch, lengths=lengths, batch_size=8)
+            padded = sum(len(b) * int(framed[b].max()) ** 2 for b in batches)
+            assert padded <= 1.2 * unpadded
 
 
 class TestSuggestedDecodeCap:
@@ -387,14 +423,10 @@ class TestTrain:
         with pytest.raises(ValueError):
             train([], TrainConfig(epochs=1), SLIM)
 
-    def test_zero_epochs_returns_initialization(self):
-        pairs = tiny_pairs(2)
-        result = train(pairs, TrainConfig(epochs=0, seed=9), SLIM)
-        fresh = TrailerModel(SLIM, seed=9)
-        for (name, p), (_, q) in zip(result.model.named_parameters(),
-                                     fresh.named_parameters()):
-            np.testing.assert_array_equal(p.data, q.data, err_msg=name)
-        assert result.history == []
+    @pytest.mark.parametrize("field, value", [("epochs", 0), ("epochs", -1), ("seed", -1)])
+    def test_count_and_seed_below_range_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            train(tiny_pairs(2), replace(TrainConfig(), **{field: value}), SLIM)
 
     def test_identical_seeds_identical_curves(self):
         pairs = tiny_pairs(3)
@@ -654,7 +686,9 @@ class TestDivergence:
         pairs = tiny_pairs(8)
         cfg = TrainConfig(epochs=3, batch_size=2, lr_peak=1e-4, seed=0,
                           checkpoint_every=1)
-        poisoned = pairs[int(epoch_order(cfg.seed, 1, len(pairs))[4])]
+        lengths = [len(ex.movie) for ex in pairs]
+        third = epoch_batches(cfg.seed, 1, lengths, cfg.batch_size)[2]
+        poisoned = pairs[int(third[0])]
 
         def poison(epoch, model, history):
             if epoch == 0:
