@@ -10,14 +10,15 @@ from dataclasses import dataclass, asdict, fields, replace
 from .autodiff import ConfigurationError
 
 EOS_RULES = ("margin", "threshold")
-CONDITION_MODES = ("none", "encoded", "contextualized")
+CONDITION_MODES = ("none", "encoded")
 
 # Keys that were removed, with the value a config saved before their removal
 # holds when it used the behaviour the code still has (layer norm's epsilon
-# is fixed at 1e-5; every residual block is post-norm).
+# is fixed at 1e-5; every residual block is post-norm; condition rows are
+# model-wide, with no projection).
 RETIRED_MODEL_KEYS = {"position_mode": "sinusoidal", "score_fusion": "broadcast",
                       "stop_score_gradient": False, "layer_norm_eps": 1e-5,
-                      "pre_norm": False}
+                      "pre_norm": False, "condition_dim": 0}
 
 _KINDS = {bool: "true or false", int: "an integer", float: "a finite number",
           str: "a string", tuple: "a list"}
@@ -76,8 +77,7 @@ class ModelConfig:
     eos_threshold: float = 0.9   # only used by the threshold rule
     feedback: str = "predicted"  # "retrieved": feed back the matched movie shot instead
     no_repeat: bool = False      # forbid selecting the same movie shot twice
-    condition_mode: str = "none"
-    condition_dim: int = 0       # 0 means same as d_model (no projection needed)
+    condition_mode: str = "none"  # "encoded": condition rows join the memory
 
     def validate(self) -> "ModelConfig":
         if self.d_model <= 0 or self.d_model % 2 != 0:
@@ -89,14 +89,13 @@ class ModelConfig:
                 f"d_model={self.d_model} not divisible by num_heads={self.num_heads}")
         if self.ff_dim < 1:
             raise ConfigurationError(f"ff_dim must be >= 1, got {self.ff_dim}")
-        if self.condition_dim < 0:
-            raise ConfigurationError(f"condition_dim must be >= 0, got {self.condition_dim}")
         if min(self.trailerness_layers, self.context_layers, self.decoder_layers) < 1:
             raise ConfigurationError("all layer counts must be >= 1")
         if self.eos_rule not in EOS_RULES:
             raise ConfigurationError(f"eos_rule must be one of {EOS_RULES}")
         if self.condition_mode not in CONDITION_MODES:
-            raise ConfigurationError(f"condition_mode must be one of {CONDITION_MODES}")
+            raise ConfigurationError(f"condition_mode must be one of {CONDITION_MODES}, "
+                                     f"got {self.condition_mode!r}")
         if self.feedback not in ("predicted", "retrieved"):
             raise ConfigurationError("feedback must be 'predicted' or 'retrieved'")
         if self.max_len < 1:

@@ -1,14 +1,14 @@
 """End-to-end sequence-to-sequence model.
 
 ``TrailerModel`` owns the learnable pieces (SOS/EOS vectors, trailerness
-encoder, context encoder, decoder stack, optional condition components).
+encoder, context encoder, decoder stack).  Conditioning adds none: condition
+rows join the memory as they are.
 Every pass runs on zero-padded [B, L, d] batches with validity masks: the
 training loop feeds whole batches, and a single movie (the greedy decode
 loop, ``encode_single``, ``decode_teacher_forced``) is a batch of one.
 
-Submodules draw their init values from per-component seed streams, so e.g. a
-conditioned and an unconditioned model built from the same seed share
-identical base weights.
+Submodules draw their init values from per-component seed streams, so e.g.
+ablating the trailerness encoder leaves every other weight unchanged.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .config import ModelConfig
 from .decoder import (DecodeCache, DecodedTrailer, DecoderStack, cosine_row, detect_eos,
                       match_nearest, match_similarities, shot_rows)
 from .encoder import ContextEncoder, TrailernessEncoder, fuse_trailerness
-from .layers import EncoderLayer, Linear
 from .shots import as_embedding_array, positional_encoding
 
 
@@ -55,7 +54,7 @@ class TrailerModel(Module):
         self.cfg = cfg
         d = cfg.d_model
         streams = {name: np.random.default_rng([seed, i]) for i, name in enumerate(
-            ("tokens", "trailerness", "context", "decoder", "condition"))}
+            ("tokens", "trailerness", "context", "decoder"))}
 
         tok = streams["tokens"]
         self.sos = Parameter(tok.normal(0.0, 0.02, size=d))
@@ -65,16 +64,6 @@ class TrailerModel(Module):
                             if cfg.use_trailerness_encoder else None)
         self.context = ContextEncoder(cfg, streams["context"]) if cfg.use_context_encoder else None
         self.decoder = DecoderStack(cfg, streams["decoder"])
-
-        self.condition_proj = None
-        self.condition_layer = None
-        if cfg.condition_mode != "none":
-            cond_dim = cfg.condition_dim or d
-            if cond_dim != d:
-                self.condition_proj = Linear(cond_dim, d, streams["condition"])
-            if cfg.condition_mode == "contextualized":
-                self.condition_layer = EncoderLayer(
-                    d, cfg.num_heads, cfg.ff_dim, streams["condition"])
         self._pos_const = positional_encoding(cfg.max_len, d)
 
     # -- shared plumbing ------------------------------------------------------
@@ -124,12 +113,10 @@ class TrailerModel(Module):
     def attach_condition(self, enc: EncodeResult, conditions) -> tuple[Tensor, np.ndarray]:
         """Append condition rows to the memory as extra cross-attention keys.
 
-        ``conditions`` holds one [Lc, dc] array per movie of ``enc``, such as
-        embedded plot summaries.  Their rows are projected to the model width
-        when ``condition_dim`` differs from it and, in "contextualized" mode,
-        pass through one extra self-attention layer.  Returns the merged
-        memory and its validity mask.  With no condition rows the memory
-        comes back untouched, so such a pass equals an unconditioned one.
+        ``conditions`` holds one [Lc, d_model] array per movie of ``enc``,
+        such as embedded plot summaries.  Returns the merged memory and its
+        validity mask.  With no condition rows the memory comes back
+        untouched, so such a pass equals an unconditioned one.
         """
         if self.cfg.condition_mode == "none" or conditions is None:
             return enc.memory, enc.valid
@@ -137,7 +124,7 @@ class TrailerModel(Module):
         if len(arrays) != enc.memory.shape[0]:
             raise ShapeError("need one condition per batched movie")
         if any(a.ndim != 2 for a in arrays):
-            raise ShapeError(f"conditions must be [Lc, dc] rows, got shapes "
+            raise ShapeError(f"conditions must be [Lc, d] rows, got shapes "
                              f"{[a.shape for a in arrays]}")
         cond_lengths = np.array([a.shape[0] for a in arrays], dtype=np.int64)
         if np.all(cond_lengths == 0):
@@ -147,13 +134,9 @@ class TrailerModel(Module):
         full = int(cond_lengths.max())
         cond = _pad_stack([Tensor(arr) for arr in arrays], full)
         cond_valid = ad.padding_mask(cond_lengths, full)
-        if self.condition_proj is not None:
-            cond = self.condition_proj(cond)
         if cond.shape[-1] != self.cfg.d_model:
             raise ShapeError(f"condition width {cond.shape[-1]} does not match "
                              f"memory width {self.cfg.d_model}")
-        if self.condition_layer is not None:
-            cond = self.condition_layer(cond, cond_valid[:, None, None, :])
         return (ad.concat([enc.memory, cond], axis=-2),
                 np.concatenate([enc.valid, cond_valid], axis=1))
 

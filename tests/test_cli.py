@@ -4,6 +4,7 @@ synthesis, training, evaluation, inference, and exit codes."""
 import csv
 import json
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,16 @@ TINY_DATA = ["--set", "data.d=16", "--set", "data.n_range=10,14",
              "--set", "data.m_range=3,5", "--set", "data.clusters=4",
              "--set", "data.noise_sigma=0.05", "--set", "data.insert_prob=0.0",
              "--set", "data.seed=7"]
+
+
+def _with_header_entries(src, dst, section, entries):
+    """Copy a checkpoint with entries added to one config of its JSON header."""
+    raw = Path(src).read_bytes()
+    head_len = struct.unpack("<I", raw[8:12])[0]
+    header = json.loads(raw[12:12 + head_len])
+    header[section].update(entries)
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    Path(dst).write_bytes(raw[:8] + struct.pack("<I", len(head)) + head + raw[12 + head_len:])
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +227,7 @@ class TestTrain:
     @pytest.mark.parametrize("setting", [
         "model.d_model=abc", "train.clip_norm=nan", "model.num_heads=0",
         "model.ff_dim=0", "model.num_heads=-4", "model.condition_dim=-1",
+        "model.condition_mode=contextualized",
         "model.position_mode=learned", "train.normalize_by_length=true",
         "train.beta1=1.0", "train.eps=0", "train.beta2=1.5", "train.weight_decay=-0.1",
     ])
@@ -384,6 +396,18 @@ class TestEval:
                    "--out", str(tmp_path / "e")])
         assert rc == 2
         assert capsys.readouterr().err
+
+    @pytest.mark.parametrize("entries", [{"condition_mode": "contextualized"},
+                                         {"condition_dim": 8}])
+    def test_retired_conditioning_checkpoint_exit_2(self, run_dir, data_dir, tmp_path,
+                                                    capsys, entries):
+        ckpt = tmp_path / "old.ckpt"
+        _with_header_entries(run_dir / "model.ckpt", ckpt, "model_config", entries)
+        rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(data_dir),
+                   "--out", str(tmp_path / "eval")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert all(key in err and repr(value) in err for key, value in entries.items())
 
     def test_missing_checkpoint_exit_2(self, data_dir, tmp_path, capsys):
         rc = main(["eval", "--checkpoint", str(tmp_path / "no.ckpt"),

@@ -1,13 +1,12 @@
-"""Tests for condition-vector support: memory augmentation, projection,
-the contextualized variant, and empty-condition pass-through."""
+"""Tests for condition-vector support: model-wide condition rows appended to
+the memory, and empty-condition pass-through."""
 
 import numpy as np
 import pytest
 
 from trailergen import autodiff as ad
-from trailergen.autodiff import ConfigurationError, ShapeError, Tensor
+from trailergen.autodiff import ConfigurationError, ShapeError
 from trailergen.config import ModelConfig, with_overrides
-from trailergen.layers import EncoderLayer, Linear
 from trailergen.model import TrailerModel
 
 BASE = ModelConfig(d_model=16, num_heads=2, ff_dim=32, trailerness_layers=1,
@@ -58,8 +57,9 @@ class TestAugmentContext:
         assert merged is enc.memory
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            with_overrides(BASE, condition_mode="averaged")
+        for mode in ("averaged", "contextualized"):  # the latter is retired
+            with pytest.raises(ConfigurationError, match=mode):
+                with_overrides(BASE, condition_mode=mode)
 
     def test_width_mismatch_rejected(self):
         model = conditioned()
@@ -70,30 +70,6 @@ class TestAugmentContext:
         model = conditioned()
         with pytest.raises(ShapeError):  # one condition vector without its row axis
             model.attach_condition(three_shot_encoding(model), [np.ones(16)])
-
-    def test_projection_maps_foreign_width(self):
-        model = conditioned(condition_dim=6)
-        enc = three_shot_encoding(model)
-        cond = np.random.default_rng(0).normal(size=(3, 6))
-        merged, _ = model.attach_condition(enc, [cond])
-        assert merged.shape == (1, 8, 16)
-        expected = model.condition_proj(Tensor(cond[None])).data
-        np.testing.assert_array_equal(merged.data[:, 5:], expected)
-
-    def test_contextualized_requires_extra_layer(self):
-        # the constructor builds the extra layer exactly when the mode needs it
-        assert conditioned("contextualized").condition_layer is not None
-        assert conditioned("encoded").condition_layer is None
-
-    def test_contextualized_transforms_condition_rows(self):
-        model = conditioned("contextualized")
-        enc = three_shot_encoding(model)
-        cond_rows = np.random.default_rng(1).normal(size=(3, 16))
-        merged, _ = model.attach_condition(enc, [cond_rows])
-        np.testing.assert_array_equal(merged.data[:, :5], enc.memory.data)  # memory untouched
-        assert not np.allclose(merged.data[:, 5:], cond_rows)  # cond transformed
-        np.testing.assert_allclose(merged.data[:, 5:],
-                                   model.condition_layer(Tensor(cond_rows[None]), None).data)
 
     def test_batched_concatenates_masks(self):
         model = conditioned()
@@ -145,44 +121,14 @@ class TestModelConditioning:
         assert not np.array_equal(plain.all_predictions, steered.all_predictions)
 
     def test_conditioned_weights_match_unconditioned_base(self):
-        # per-component seed streams: adding the condition path must not
-        # reshuffle any shared parameter
+        # conditioning adds no parameter and reshuffles none
         plain = dict(TrailerModel(BASE, seed=3).named_parameters())
         cond = dict(TrailerModel(
-            with_overrides(BASE, condition_mode="contextualized",
-                           condition_dim=8), seed=3).named_parameters())
-        extra = set(cond) - set(plain)
-        assert extra  # the new path does add parameters
-        assert all(k.startswith("condition") for k in extra)
+            with_overrides(BASE, condition_mode="encoded"), seed=3).named_parameters())
+        assert list(cond) == list(plain)
         for name in plain:
             np.testing.assert_array_equal(plain[name].data, cond[name].data,
                                           err_msg=name)
-
-    def test_contextualized_adds_one_layer_plus_projection(self):
-        def count(model):
-            return sum(p.data.size for p in model.parameters())
-
-        base = count(TrailerModel(with_overrides(BASE, condition_mode="encoded"),
-                                  seed=0))
-        ctx = count(TrailerModel(
-            with_overrides(BASE, condition_mode="contextualized"), seed=0))
-        probe_layer = EncoderLayer(16, 2, 32, np.random.default_rng(0))
-        layer_params = sum(p.data.size for p in probe_layer.parameters())
-        assert ctx - base == layer_params
-
-        proj = count(TrailerModel(
-            with_overrides(BASE, condition_mode="encoded", condition_dim=8),
-            seed=0))
-        probe_proj = Linear(8, 16, np.random.default_rng(0))
-        assert proj - base == sum(p.data.size for p in probe_proj.parameters())
-
-    def test_foreign_width_condition_projected(self):
-        cfg = with_overrides(BASE, condition_mode="encoded", condition_dim=8)
-        model = TrailerModel(cfg, seed=3)
-        movie = rng_movie(np.random.default_rng(5), 7)
-        enc = model.encode_single(movie)
-        memory, _ = model.attach_condition(enc, [np.ones((4, 8))])
-        assert memory.shape == (1, 13, 16)
 
     def test_width_mismatch_rejected(self):
         cfg = with_overrides(BASE, condition_mode="encoded")  # expects d=16

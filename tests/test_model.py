@@ -59,7 +59,7 @@ def test_config_round_trip_through_dict():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("num_heads", 0), ("num_heads", -4), ("ff_dim", 0), ("condition_dim", -1)])
+    ("num_heads", 0), ("num_heads", -4), ("ff_dim", 0)])
 def test_config_counts_checked_before_use(field, value):
     # num_heads=0 used to divide by zero, and -4 to fail in a square root
     with pytest.raises(ConfigurationError, match=f"{field} must be"):
@@ -69,11 +69,12 @@ def test_config_counts_checked_before_use(field, value):
 def test_config_from_dict_retired_keys_and_types():
     old = {**small_cfg().to_dict(), "position_mode": "sinusoidal",
            "score_fusion": "broadcast", "stop_score_gradient": False,
-           "layer_norm_eps": 1e-5, "pre_norm": False}
+           "layer_norm_eps": 1e-5, "pre_norm": False, "condition_dim": 0}
     assert ModelConfig.from_dict(old) == small_cfg()
     for key, value in (("position_mode", "learned"), ("score_fusion", "projected"),
                        ("stop_score_gradient", True), ("stop_score_gradient", 0),
-                       ("layer_norm_eps", 1e-6), ("pre_norm", True)):
+                       ("layer_norm_eps", 1e-6), ("pre_norm", True),
+                       ("condition_dim", -1), ("condition_dim", 8)):
         with pytest.raises(ConfigurationError, match=key):
             ModelConfig.from_dict({**old, key: value})
     for key, value in (("d_model", "abc"), ("d_model", 8.0), ("no_repeat", "yes"),
@@ -513,7 +514,7 @@ def test_cached_decode_matches_reference_on_criterion_3_configurations():
             rng.normal(0.0, 0.4, size=(m, d))             # criterion 3's trailer
             j = int(rng.integers(1, m + 1))
             rng.normal(0.0, 1.0, size=(m - j + 1, d))     # and its tampering
-            mode = ("none", "encoded", "contextualized")[trial % 3]
+            mode = ("none", "encoded", "encoded")[trial % 3]
             cfg = ModelConfig(d_model=d, num_heads=heads, ff_dim=2 * d,
                               trailerness_layers=depths[0], context_layers=depths[1],
                               decoder_layers=depths[2], max_len=32,

@@ -584,7 +584,7 @@ class TestCheckpoint:
         self._with_header_entries(
             path, {"position_mode": "sinusoidal", "score_fusion": "broadcast",
                    "stop_score_gradient": False, "layer_norm_eps": 1e-5,
-                   "pre_norm": False},
+                   "pre_norm": False, "condition_dim": 0},
             {"normalize_by_length": False})
         ck = load_checkpoint(path)
         assert ck.model_config == SLIM
@@ -601,6 +601,8 @@ class TestCheckpoint:
         ({}, {"normalize_by_length": True}, "normalize_by_length"),
         ({"layer_norm_eps": 1e-6}, {}, "layer_norm_eps"),
         ({"pre_norm": True}, {}, "pre_norm"),
+        ({"condition_dim": 8}, {}, "condition_dim"),
+        ({"condition_mode": "contextualized"}, {}, "condition_mode.*contextualized"),
     ])
     def test_retired_switch_set_otherwise_rejected(self, tmp_path, model_entries,
                                                    train_entries, key):
