@@ -191,6 +191,8 @@ def cmd_train(args) -> int:
         flags["use_trailerness_encoder"] = False
     if args.no_context_encoder:
         flags["use_context_encoder"] = False
+    if args.use_conditions:
+        flags["condition_mode"] = "encoded"
     model_cfg = _model_config(sections, args.preset, flags)
     train_values = dict(sections.get("train", {}))
     if args.seed is not None:
@@ -250,6 +252,12 @@ def _restore_model(checkpoint_path) -> tuple[TrailerModel, dict]:
     return model, ck.extras
 
 
+def _require_conditioning(model: TrailerModel, flag: str) -> None:
+    if model.cfg.condition_mode == "none":
+        raise InputError(f"checkpoint was trained without conditioning; "
+                         f"{flag} is not usable")
+
+
 def cmd_eval(args) -> int:
     started = time.perf_counter()
     ckpt = Path(args.checkpoint)
@@ -266,6 +274,7 @@ def cmd_eval(args) -> int:
 
     conditions = None
     if args.use_conditions:
+        _require_conditioning(model, "--use-conditions")
         missing = [ex.pair_id for ex in examples if ex.condition is None]
         if missing:
             raise InputError(f"pair {missing[0]} has no condition sequence")
@@ -333,11 +342,8 @@ def cmd_infer(args) -> int:
                          f"checkpoint d_model {model.cfg.d_model}")
     condition = None
     if args.condition:
-        cond_seq = read_sequence(args.condition)
-        condition = cond_seq.embeddings
-        if model.cfg.condition_mode == "none":
-            raise InputError("checkpoint was trained without conditioning; "
-                             "--condition is not usable")
+        _require_conditioning(model, "--condition")
+        condition = read_sequence(args.condition).embeddings
 
     max_len = args.max_len or int(extras.get("suggested_max_len", 32))
     loaded = time.perf_counter()
@@ -435,7 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--resume", default=None, metavar="CKPT")
-    p.add_argument("--use-conditions", action="store_true")
+    p.add_argument("--use-conditions", action="store_true",
+                   help="condition the model: each pair's condition rows join the memory")
     p.add_argument("--no-trailerness-encoder", action="store_true",
                    help="ablation: drop the trailerness scoring branch")
     p.add_argument("--no-context-encoder", action="store_true",

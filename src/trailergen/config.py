@@ -42,9 +42,10 @@ def _checked(label: str, key: str, value, default):
 
 
 def config_from_dict(cls, values: dict, label: str, retired: dict | None = None):
-    """Build and validate the config dataclass ``cls`` from plain values.
+    """Build the config dataclass ``cls`` from plain values, unvalidated.
 
-    Unknown keys and values of the wrong type raise ``ConfigurationError``.
+    Unknown keys and values of the wrong type raise ``ConfigurationError``;
+    the ``from_dict`` of each class also runs its ``validate``.
     A ``retired`` key is dropped when it holds its old value and rejected
     otherwise, so a saved config that relied on a removed switch fails
     loudly instead of loading as something else.
@@ -59,7 +60,7 @@ def config_from_dict(cls, values: dict, label: str, retired: dict | None = None)
             raise ConfigurationError(f"{label} config key {key!r} was removed; a saved "
                                      f"config may hold only {retired[key]!r}, got {values[key]!r}")
     return cls(**{key: _checked(label, key, value, defaults[key])
-                  for key, value in values.items() if key in defaults}).validate()
+                  for key, value in values.items() if key in defaults})
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, values: dict) -> "ModelConfig":
-        return config_from_dict(cls, values, "model", RETIRED_MODEL_KEYS)
+        return config_from_dict(cls, values, "model", RETIRED_MODEL_KEYS).validate()
 
 
 # "desk" keeps training minutes-fast; "paper" mirrors the published scale.

@@ -143,7 +143,7 @@ class DecodedTrailer:
 
     embeddings: np.ndarray                 # [steps, d]
     matched_indices: list[int]
-    terminated_by: str                     # "eos" | "max_len"
+    terminated_by: str                     # "eos" | "max_len" | "pool" (no-repeat ran out)
     topk_indices: list[list[int]] = field(default_factory=list)
     topk_similarities: list[list[float]] = field(default_factory=list)
     all_predictions: np.ndarray | None = None
@@ -151,7 +151,7 @@ class DecodedTrailer:
     def __post_init__(self):
         if len(self.matched_indices) != self.embeddings.shape[0]:
             raise ValueError("one matched index is required per kept embedding")
-        if self.terminated_by not in ("eos", "max_len"):
+        if self.terminated_by not in ("eos", "max_len", "pool"):
             raise ValueError(f"unknown termination {self.terminated_by!r}")
 
 

@@ -295,7 +295,8 @@ class _GreedyState:
         n = self.movie.shape[0]
         pool = n - len(self.chosen) if cfg.no_repeat else n
         if pool < 1:
-            return None  # no-repeat pool exhausted; treated as hitting the cap
+            self.terminated = "pool"  # every movie shot is already chosen
+            return None
         if cosines is None:
             cosines = cosine_row(pred, *self.shots)
         ranked = match_nearest(pred, self.movie, k=min(self.k, pool),

@@ -65,7 +65,7 @@ class GeneratorConfig:
 
     @classmethod
     def from_dict(cls, values: dict) -> "GeneratorConfig":
-        return config_from_dict(cls, values, "generator", RETIRED_GENERATOR_KEYS)
+        return config_from_dict(cls, values, "generator", RETIRED_GENERATOR_KEYS).validate()
 
 
 def corpus_constants(cfg: GeneratorConfig):

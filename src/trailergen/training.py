@@ -95,7 +95,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, values: dict) -> "TrainConfig":
-        return config_from_dict(cls, values, "train", RETIRED_TRAIN_KEYS)
+        return config_from_dict(cls, values, "train", RETIRED_TRAIN_KEYS).validate()
 
 
 def lr_at_step(step: int, cfg: TrainConfig) -> float:
@@ -284,6 +284,7 @@ def train(examples: list[PairExample], cfg: TrainConfig, model_cfg: ModelConfig,
     start_epoch = 0
     if resume_from is not None:
         ck = load_checkpoint(resume_from)
+        ck.train_config.validate()  # its optimizer constants carry on
         model, optimizer = restore_model_and_optimizer(ck)
         if ck.step % steps_per_epoch != 0:
             raise ConfigurationError("checkpoints are epoch-aligned; cannot resume mid-epoch")
@@ -293,6 +294,9 @@ def train(examples: list[PairExample], cfg: TrainConfig, model_cfg: ModelConfig,
         model = TrailerModel(model_cfg, seed=cfg.seed)
         optimizer = AdamW(model.parameters(), cfg.beta1, cfg.beta2, cfg.eps,
                           cfg.weight_decay)
+    if cfg.use_conditions and model.cfg.condition_mode == "none":
+        raise ConfigurationError("train config key 'use_conditions' needs model config key "
+                                 "'condition_mode' set to 'encoded', got 'none'")
 
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
@@ -411,8 +415,9 @@ def save_checkpoint(path, model: TrailerModel, optimizer: AdamW | None,
         "payload_bytes": offset,
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    # write beside the target and rename over it, so a failed write never
-    # destroys the previous checkpoint (divergence rescue falls back to it)
+    # write beside the target, fsync it and rename over it, so neither a
+    # failed write nor an OS crash destroys the previous checkpoint
+    # (divergence rescue falls back to it)
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -422,10 +427,18 @@ def save_checkpoint(path, model: TrailerModel, optimizer: AdamW | None,
             fh.write(head)
             for blob in blobs:
                 fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    # the rename is durable only once the directory entry is on disk
+    fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def load_checkpoint(path) -> CheckpointData:
@@ -454,7 +467,10 @@ def load_checkpoint(path) -> CheckpointData:
     return CheckpointData(
         step=header["step"],
         model_config=ModelConfig.from_dict(header["model_config"]),
-        train_config=TrainConfig.from_dict(header["train_config"]),
+        # checked for keys and types only: eval and infer read no train value
+        # but the seed, so a value a later check rejects still opens
+        train_config=config_from_dict(TrainConfig, header["train_config"], "train",
+                                      RETIRED_TRAIN_KEYS),
         data_fingerprint=header["data_fingerprint"],
         arrays=arrays,
         optimizer_step=opt.get("step", 0),

@@ -174,6 +174,7 @@ def reference_generate(model, movie, condition=None, max_len: int = 32,
             exclude = chosen if cfg.no_repeat else None
             pool = n - len(chosen) if cfg.no_repeat else n
             if pool < 1:
+                terminated = "pool"
                 break
             ranked = match_nearest(pred, movie_arr, k=min(k, pool), exclude=exclude)
             sims = match_similarities(pred, movie_arr, ranked)

@@ -265,6 +265,27 @@ class TestTrain:
         assert not ck.model_config.use_context_encoder
         assert (ck.train_config.seed, ck.train_config.epochs) == (3, 1)
 
+    def test_use_conditions_conditions_the_model(self, data_dir, tmp_path):
+        # the flag selects the "encoded" mode, so each pair's condition rows
+        # join the memory and change what the same seed learns
+        base = ["--data", str(data_dir), "--set", "train.epochs=1",
+                "--set", "train.batch_size=4", "--set", "train.seed=0"] + TINY_MODEL
+        plain, cond = tmp_path / "plain", tmp_path / "cond"
+        assert main(["train", "--out", str(plain)] + base) == 0
+        assert main(["train", "--out", str(cond), "--use-conditions"] + base) == 0
+        ck_plain = load_checkpoint(plain / "model.ckpt")
+        ck_cond = load_checkpoint(cond / "model.ckpt")
+        assert ck_cond.model_config.condition_mode == "encoded"
+        assert ck_cond.train_config.use_conditions
+        assert set(ck_cond.arrays) == set(ck_plain.arrays)
+        assert any(not np.array_equal(ck_cond.arrays[name], ck_plain.arrays[name])
+                   for name in ck_plain.arrays)
+        movie_file = next(data_dir.glob("*.movie.json"))
+        cond_file = movie_file.with_name(movie_file.name.replace(".movie.", ".condition."))
+        assert main(["infer", "--checkpoint", str(cond / "model.ckpt"),
+                     "--movie", str(movie_file), "--condition", str(cond_file),
+                     "--out", str(tmp_path / "o.json"), "--max-len", "2"]) == 0
+
     def test_ablation_flag_zeroes_trailerness_loss(self, data_dir, tmp_path):
         out = tmp_path / "ablate"
         rc = main(["train", "--data", str(data_dir), "--out", str(out),
@@ -397,6 +418,16 @@ class TestEval:
         assert rc == 2
         assert capsys.readouterr().err
 
+    def test_use_conditions_on_unconditioned_checkpoint_exit_2(
+            self, run_dir, data_dir, tmp_path, capsys):
+        rc = main(["eval", "--checkpoint", str(run_dir / "model.ckpt"),
+                   "--data", str(data_dir), "--use-conditions",
+                   "--out", str(tmp_path / "eval")])
+        assert rc == 2
+        assert ("checkpoint was trained without conditioning; --use-conditions is not "
+                "usable") in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
+
     @pytest.mark.parametrize("entries", [{"condition_mode": "contextualized"},
                                          {"condition_dim": 8}])
     def test_retired_conditioning_checkpoint_exit_2(self, run_dir, data_dir, tmp_path,
@@ -408,6 +439,21 @@ class TestEval:
         assert rc == 2
         err = capsys.readouterr().err
         assert all(key in err and repr(value) in err for key, value in entries.items())
+
+    def test_train_value_a_later_check_rejects_opens_for_eval_and_infer(
+            self, run_dir, data_dir, tmp_path, capsys):
+        ckpt = tmp_path / "old.ckpt"
+        _with_header_entries(run_dir / "model.ckpt", ckpt, "train_config", {"epochs": 0})
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data_dir),
+                     "--out", str(tmp_path / "eval"), "--baseline-trials", "10"]) == 0
+        movie_file = next(data_dir.glob("*.movie.json"))
+        assert main(["infer", "--checkpoint", str(ckpt), "--movie", str(movie_file),
+                     "--out", str(tmp_path / "o.json"), "--max-len", "2"]) == 0
+        capsys.readouterr()
+        rc = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "run"),
+                   "--resume", str(ckpt), "--set", "train.epochs=4"] + TINY_MODEL)
+        assert rc == 2
+        assert "epochs must be >= 1, got 0" in capsys.readouterr().err
 
     def test_missing_checkpoint_exit_2(self, data_dir, tmp_path, capsys):
         rc = main(["eval", "--checkpoint", str(tmp_path / "no.ckpt"),

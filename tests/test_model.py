@@ -361,7 +361,7 @@ def test_generate_batch_mixed_lengths_match_reference_float64():
     eos_steps = {k for k, r in zip(kept, refs) if r.terminated_by == "eos"}
     assert len(eos_steps) >= 2                       # EOS fires at different steps
     assert max_len in kept                           # some hit the cap
-    assert any(r.terminated_by == "max_len" and k == m.shape[0] < max_len
+    assert any(r.terminated_by == "pool" and k == m.shape[0] < max_len
                for k, r, m in zip(kept, refs, movies))  # a no-repeat pool runs out
     for g, r in zip(got, refs):
         _assert_same_decode(g, r, atol=1e-12)
@@ -409,6 +409,7 @@ def _replay_greedy_steps(model, movie, predictions, k):
             break
         pool = n - len(chosen) if cfg.no_repeat else n
         if pool < 1:
+            stop = "pool"
             break
         ranked = match_nearest(pred, movie, k=min(k, pool),
                                exclude=chosen if cfg.no_repeat else None)

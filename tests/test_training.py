@@ -4,6 +4,8 @@ checkpointing, and deterministic resume."""
 import itertools
 import json
 import math
+import os
+import stat
 import struct
 from dataclasses import replace
 
@@ -481,6 +483,25 @@ class TestTrain:
 # --------------------------------------------------------------------------
 
 class TestCheckpoint:
+    def test_save_syncs_file_before_rename_and_directory_after(self, tmp_path, monkeypatch):
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+            real_fsync(fd)
+
+        def replace_(src, dst):
+            events.append("rename")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(training.os, "fsync", fsync)
+        monkeypatch.setattr(training.os, "replace", replace_)
+        model = TrailerModel(SLIM, seed=0)
+        save_checkpoint(tmp_path / "model.ckpt", model, None, TrainConfig(), SLIM, 0)
+        assert events == ["file", "rename", "dir"]
+        assert load_checkpoint(tmp_path / "model.ckpt").step == 0
+
     def test_save_load_save_is_byte_identical(self, tmp_path):
         pairs = tiny_pairs(2)
         cfg = TrainConfig(epochs=1, batch_size=2, lr_peak=1e-3, seed=2)
@@ -613,6 +634,28 @@ class TestCheckpoint:
         with pytest.raises(ConfigurationError, match=key):
             load_checkpoint(path)
 
+    def test_train_value_a_later_check_rejects_still_opens(self, tmp_path):
+        # eval and infer open such a checkpoint (test_cli: resuming is refused);
+        # unknown keys and wrong types are still rejected
+        pairs = tiny_pairs(1)
+        cfg = TrainConfig(epochs=1, batch_size=1, lr_peak=1e-3, seed=2)
+        result = train(pairs, cfg, SLIM, out_dir=tmp_path)
+        raw = result.checkpoint_path.read_bytes()
+        path = tmp_path / "old.ckpt"
+        for entries, key in (({"epochs": 0.5}, "epochs"), ({"nonsense": 1}, "nonsense")):
+            path.write_bytes(raw)
+            self._with_header_entries(path, {}, entries)
+            with pytest.raises(ConfigurationError, match=key):
+                load_checkpoint(path)
+        path.write_bytes(raw)
+        self._with_header_entries(path, {}, {"epochs": 0})
+        ck = load_checkpoint(path)
+        assert ck.train_config.epochs == 0
+        model, _ = restore_model_and_optimizer(ck)
+        for (name, p), (_, q) in zip(model.named_parameters(),
+                                     result.model.named_parameters()):
+            np.testing.assert_array_equal(p.data, q.data, err_msg=name)
+
     def test_parameter_mismatch_rejected(self, tmp_path):
         pairs = tiny_pairs(1)
         cfg = TrainConfig(epochs=1, batch_size=1, lr_peak=1e-3, seed=2)
@@ -640,6 +683,17 @@ class TestResume:
         for (name, p), (_, q) in zip(straight.model.named_parameters(),
                                      resumed.model.named_parameters()):
             np.testing.assert_array_equal(p.data, q.data, err_msg=name)
+
+    def test_use_conditions_needs_a_conditioned_model(self, tmp_path):
+        # a fresh run reads the model config; a resumed run the restored model
+        pairs = tiny_pairs(2)
+        cfg = TrainConfig(epochs=1, batch_size=2, lr_peak=1e-3, seed=6)
+        with pytest.raises(ConfigurationError, match="use_conditions.*condition_mode"):
+            train(pairs, replace(cfg, use_conditions=True), SLIM)
+        path = train(pairs, cfg, SLIM, out_dir=tmp_path).checkpoint_path
+        with pytest.raises(ConfigurationError, match="use_conditions.*condition_mode"):
+            train(pairs, replace(cfg, epochs=2, use_conditions=True),
+                  replace(SLIM, condition_mode="encoded"), resume_from=path)
 
     def test_mid_epoch_checkpoint_rejected(self, tmp_path):
         pairs = tiny_pairs(3)
