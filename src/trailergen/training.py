@@ -284,7 +284,7 @@ def train(examples: list[PairExample], cfg: TrainConfig, model_cfg: ModelConfig,
     start_epoch = 0
     if resume_from is not None:
         ck = load_checkpoint(resume_from)
-        ck.train_config.validate()  # its optimizer constants carry on
+        ck.train_config.validate()  # the resumed run keeps its optimizer constants
         model, optimizer = restore_model_and_optimizer(ck)
         if ck.step % steps_per_epoch != 0:
             raise ConfigurationError("checkpoints are epoch-aligned; cannot resume mid-epoch")
