@@ -58,12 +58,19 @@ def test_config_round_trip_through_dict():
         ModelConfig.from_dict({"d_model": 8, "nonsense": 1})
 
 
-@pytest.mark.parametrize("field, value", [
-    ("num_heads", 0), ("num_heads", -4), ("ff_dim", 0)])
-def test_config_counts_checked_before_use(field, value):
-    # num_heads=0 used to divide by zero, and -4 to fail in a square root
-    with pytest.raises(ConfigurationError, match=f"{field} must be"):
-        ModelConfig(**{field: value}).validate()
+@pytest.mark.parametrize("field, value, message", [
+    pytest.param("num_heads", 0, "num_heads must be", id="num_heads-0"),
+    pytest.param("num_heads", -4, "num_heads must be", id="num_heads--4"),
+    pytest.param("ff_dim", 0, "ff_dim must be", id="ff_dim-0"),
+    pytest.param("condition_dim", -1, "'condition_dim' was removed", id="condition_dim--1")])
+def test_config_counts_checked_before_use(field, value, message):
+    # num_heads=0 used to divide by zero, and -4 to fail in a square root;
+    # condition_dim is retired, so a saved config may hold only 0
+    with pytest.raises(ConfigurationError, match=message):
+        ModelConfig.from_dict({field: value})
+    if field not in RETIRED_MODEL_KEYS:
+        with pytest.raises(ConfigurationError, match=message):
+            ModelConfig(**{field: value}).validate()
 
 
 def test_config_from_dict_retired_keys_and_types():
