@@ -246,7 +246,11 @@ class Tensor:
 
         Without an explicit ``grad`` the tensor must be scalar.  The graph is
         walked iteratively (no recursion limit issues on long autoregressive
-        chains) and freed afterwards.
+        chains) and freed as the walk goes, not afterwards: each node drops
+        its parents and backward closure, and with them the arrays the
+        closure saved, when the walk reaches it, and drops its gradient once
+        its backward has read it.  Only the root's and the leaves' gradients
+        remain.
         """
         if not self.requires_grad:
             raise ValueError("backward() on a tensor that does not require grad")
@@ -275,15 +279,18 @@ class Tensor:
                     stack.append((p, False))
 
         self._accumulate(grad)
-        for node in reversed(order):
-            if node._backward_fn is not None:
-                node._backward_fn(node.grad)
-        # free the graph; drop intermediate grads but keep leaf grads
-        for node in order:
-            if node._backward_fn is not None:
-                node._backward_fn = None
-                node._parents = ()
-                node.grad = None if node is not self else node.grad
+        # popped in reverse topological order, so the walk holds no node it has
+        # passed: one that nothing else references is freed there and then
+        while order:
+            node = order.pop()
+            backward_fn = node._backward_fn
+            if backward_fn is None:
+                continue  # a leaf keeps its gradient
+            node._backward_fn = None
+            node._parents = ()
+            backward_fn(node.grad)
+            if node is not self:
+                node.grad = None
 
     def __getitem__(self, idx):
         return _getitem(self, idx)
@@ -420,14 +427,32 @@ def exp(a) -> Tensor:
     return _make(data, (a,), backward, "exp")
 
 
-def matmul(a, b) -> Tensor:
-    """Batched matrix product; both operands must be at least 2-D."""
+def matmul(a, b, bias=None) -> Tensor:
+    """Batched matrix product plus an optional ``bias`` row added to every
+    row of it; both operands must be at least 2-D.
+
+    The bias is added in place into the fresh product, so a linear map is
+    one graph node that keeps no pre-bias product alive, with the bits and
+    the dtype that ``add(matmul(a, b), bias)`` would give.
+    """
     a, b = _pair(a, b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul requires 2-D+ operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
     data = a.data @ b.data
+    operands = (a, b)
+    if bias is not None:
+        if not isinstance(bias, Tensor):
+            bias = Tensor(bias, dtype=data.dtype)
+        if bias.shape != data.shape[-1:]:
+            raise ShapeError(f"matmul bias of shape {bias.shape} for a product of "
+                             f"shape {data.shape}")
+        if np.result_type(data, bias.data) == data.dtype:
+            data += bias.data
+        else:
+            data = data + bias.data
+        operands = (a, b, bias)
 
     def backward(g):
         if a.requires_grad:
@@ -436,8 +461,10 @@ def matmul(a, b) -> Tensor:
         if b.requires_grad:
             gb = a.data.swapaxes(-1, -2) @ g
             b._accumulate(_sum_to_shape(gb, b.shape))
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(_sum_to_shape(g, bias.shape))
 
-    return _make(data, (a, b), backward, "matmul")
+    return _make(data, operands, backward, "matmul")
 
 
 def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:

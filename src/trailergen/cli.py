@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import os
+import resource
 import sys
 import time
 from pathlib import Path
@@ -120,11 +121,18 @@ def _hash_file(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def peak_rss_mb() -> float:
+    """The process's peak resident set size so far, in MB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return round(peak / (2**20 if sys.platform == "darwin" else 2**10), 1)  # bytes / KB
+
+
 def write_run_manifest(out_dir, command: str, config_snapshot: dict, seed: int,
                        input_hashes: dict, outputs: list[str], started: float,
                        timings: dict | None = None) -> Path:
     """Write ``run_manifest.json``; ``timings`` adds per-phase wall-clock
-    numbers beside the total, which only this file ever records."""
+    numbers beside the total and the process's peak memory, which only this
+    file ever records."""
     manifest = {
         "command": command,
         "config": config_snapshot,
@@ -132,7 +140,7 @@ def write_run_manifest(out_dir, command: str, config_snapshot: dict, seed: int,
         "input_hashes": input_hashes,
         "outputs": sorted(str(o) for o in outputs),
         "timings": {"wall_seconds": round(time.perf_counter() - started, 3),
-                    **(timings or {})},
+                    "peak_rss_mb": peak_rss_mb(), **(timings or {})},
     }
     path = Path(out_dir) / "run_manifest.json"
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
@@ -238,7 +246,7 @@ def cmd_train(args) -> int:
                "write_s": round(written - trained, 4), "steps": steps,
                "steps_per_s": round(steps / (trained - loaded), 2)}
     write_run_manifest(out, "train",
-                       {"model": model_cfg.to_dict(), "train": result.config.to_dict()},
+                       {"model": result.model.cfg.to_dict(), "train": result.config.to_dict()},
                        train_cfg.seed, input_hashes, outputs, started, timings)
     final = result.history[-1]["total"] if result.history else float("nan")
     print(f"trained {result.config.total_steps} steps; final total loss {final:.6f}; "

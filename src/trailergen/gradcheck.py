@@ -189,6 +189,13 @@ def _check_linear(rng):
     return lambda: _scalarize(lin(x), r), [x, lin.weight, lin.bias]
 
 
+def _check_linear_batched(rng):
+    """A batched linear map, the one matmul node with a bias that ``Linear`` makes."""
+    x, w, b = _leaf(rng, 2, 3, 5), _leaf(rng, 5, 4), _leaf(rng, 4)
+    r = _probe(rng, (2, 3, 4))
+    return lambda: _scalarize(ad.matmul(x, w, b), r), [x, w, b]
+
+
 def _check_feed_forward(rng):
     ff = FeedForward(4, 6, rng)
     x, r = _leaf(rng, 2, 4), _probe(rng, (2, 4))
@@ -303,6 +310,7 @@ CHECKS = {
     "attention_core_masked": _check_attention_core_masked,
     "attention_core_batched_masked": _check_attention_core_batched_masked,
     "linear": _check_linear,
+    "linear_batched": _check_linear_batched,
     "feed_forward": _check_feed_forward,
     "layer_norm_module": _check_layer_norm_module,
     "attention_layer": _check_attention_layer,

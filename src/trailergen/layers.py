@@ -38,7 +38,7 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_dim))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.add(ad.matmul(x, self.weight), self.bias)
+        return ad.matmul(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):

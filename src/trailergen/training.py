@@ -273,6 +273,8 @@ def train(examples: list[PairExample], cfg: TrainConfig, model_cfg: ModelConfig,
     callbacks); checkpoints are written at epoch boundaries.  On a non-finite
     loss the last epoch-boundary checkpoint is preserved, the last finite
     parameters go to ``model.rescue.ckpt``, and ``TrainingDiverged`` is raised.
+    A resumed run trains the restored model and saves that model's config;
+    ``model_cfg`` then only has to be valid.
     """
     if not examples:
         raise ValueError("training needs at least one pair")
@@ -317,7 +319,7 @@ def train(examples: list[PairExample], cfg: TrainConfig, model_cfg: ModelConfig,
     step = start_epoch * steps_per_epoch
 
     def save(path):
-        save_checkpoint(path, model, optimizer, cfg, model_cfg, step,
+        save_checkpoint(path, model, optimizer, cfg, model.cfg, step,
                         data_fingerprint, extras={
                             "suggested_max_len": suggested_decode_cap(examples)})
 

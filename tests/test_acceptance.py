@@ -292,11 +292,11 @@ def test_criterion_6_ablation_trends():
                        (1.0, 1.0, 1.0)),
         "rec_only": (ABL_MODEL, (0.0, 1.0, 0.0)),
     }
-    means = {}
+    scores, means = {}, {}
     for name, (cfg, weights) in variants.items():
-        scores = [run_small(cfg, seed, pairs, loss_weights=weights)
-                  for seed in (1, 2, 3)]
-        means[name] = float(np.mean(scores))
+        scores[name] = [run_small(cfg, seed, pairs, loss_weights=weights)
+                        for seed in (1, 2, 3)]
+        means[name] = float(np.mean(scores[name]))
 
     inversions = []
     if not means["full"] >= means["no_trailerness"]:
@@ -306,10 +306,13 @@ def test_criterion_6_ablation_trends():
     if not means["full"] >= means["rec_only"]:
         inversions.append("combined-loss < rec-only")
 
-    detail = (f"mean F1@1 over 3 seeds: full {means['full']:.3f}, "
-              f"w/o trailerness {means['no_trailerness']:.3f}, "
-              f"w/o context {means['no_context']:.3f}, "
-              f"rec-only loss {means['rec_only']:.3f}")
+    def shown(name):  # the mean, then each seed's F1@1, to set a gap against the spread
+        return f"{means[name]:.3f} ({'/'.join(f'{v:.3f}' for v in scores[name])})"
+
+    detail = (f"mean F1@1 over 3 seeds (seeds 1/2/3): full {shown('full')}, "
+              f"w/o trailerness {shown('no_trailerness')}, "
+              f"w/o context {shown('no_context')}, "
+              f"rec-only loss {shown('rec_only')}")
     if inversions:
         announce(6, "FLAGGED", detail + "; inversions: " + "; ".join(inversions))
     else:

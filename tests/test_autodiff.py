@@ -2,6 +2,7 @@
 against finite differences, mask semantics, and the error contract."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import oracles
@@ -47,6 +48,34 @@ def test_matmul_inner_dim_mismatch():
 def test_matmul_rejects_vectors():
     with pytest.raises(ShapeError):
         ad.matmul(t64([1.0, 2.0]), t64([[1.0], [2.0]]))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lead", [(3, 5), (5,)], ids=["BLd", "Ld"])
+def test_matmul_bias_equals_add_of_product_bitwise(dtype, lead):
+    rng = np.random.default_rng(11)
+    arrays = [rng.standard_normal(lead + (6,)), rng.standard_normal((6, 4)),
+              rng.standard_normal(4)]
+    probe = rng.standard_normal(lead + (4,))
+    results = []
+    for fused in (True, False):
+        x, w, b = (Tensor(a, requires_grad=True, dtype=dtype) for a in arrays)
+        out = ad.matmul(x, w, b) if fused else ad.add(ad.matmul(x, w), b)
+        ad.tensor_sum(ad.mul(out, probe)).backward()
+        results.append([out.data, x.grad, w.grad, b.grad])
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+
+
+def test_matmul_bias_dtype_and_shape_follow_add():
+    x = Tensor(np.ones((2, 3)), dtype=np.float32)
+    w = Tensor(np.ones((3, 4)), dtype=np.float32)
+    b = t64(np.full(4, 0.1))
+    assert ad.matmul(x, w, b).dtype == ad.add(ad.matmul(x, w), b).dtype == np.float64
+    np.testing.assert_array_equal(ad.matmul(x, w, b).data, ad.add(ad.matmul(x, w), b).data)
+    with pytest.raises(ShapeError):
+        ad.matmul(x, w, t64(np.ones(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +529,41 @@ def test_nonfinite_forward_raises():
             ad.mul(big, big)  # overflows to inf
         with pytest.raises(NonFiniteError):
             ad.exp(t64([1e5]))
+
+
+def test_backward_frees_each_gradient_once_read():
+    # twelve ops over a 1 MiB array; each intermediate gradient dies as soon
+    # as its node's backward has read it, so the walk holds the gradient in
+    # flight and the one it feeds, not one gradient per op
+    x = t64(np.ones((256, 512)), requires_grad=True)
+    nodes = [x]
+    for i in range(12):
+        op = (lambda t: ad.add(t, 0.5), lambda t: ad.sub(t, 0.5),
+              lambda t: ad.transpose(t, (1, 0)))[i % 3]
+        nodes.append(op(nodes[-1]))
+    loss = ad.tensor_sum(nodes[-1])
+    tracemalloc.start()  # after the forward pass: only what backward adds counts
+    try:
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * x.data.nbytes  # beyond the forward graph
+    assert np.array_equal(x.grad, np.ones((256, 512)))
+    assert all(node.grad is None for node in nodes[1:]) and loss.grad is not None
+
+
+def test_backward_keeps_only_root_and_leaf_gradients():
+    x = t64(np.linspace(-1.0, 1.0, 6).reshape(2, 3), requires_grad=True)
+    w = Parameter(np.ones((3, 2)), dtype=np.float64)
+    hidden = ad.matmul(x, w)
+    out = ad.relu(hidden)
+    loss = ad.tensor_sum(out)
+    loss.backward()
+    assert hidden.grad is None and out.grad is None
+    assert loss.grad is not None and x.grad is not None and w.grad is not None
+    for node in (hidden, out, loss):
+        assert node._parents == () and node._backward_fn is None
 
 
 def test_deep_chain_does_not_hit_recursion_limit():

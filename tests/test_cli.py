@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from trailergen.cli import (InputError, _parse_value, load_config, main,
-                            parse_config_text)
+                            parse_config_text, peak_rss_mb)
 from trailergen.shots import ShotSequence, read_sequence, write_sequence
 from trailergen.synthetic import load_dataset
 from trailergen.training import load_checkpoint, restore_model_and_optimizer
@@ -208,8 +208,9 @@ class TestTrain:
             assert 0.0 <= timings[phase] <= timings["wall_seconds"]
         assert timings["steps"] == 2 * 2
         assert timings["steps_per_s"] > 0.0
+        assert 0.0 < timings["peak_rss_mb"] <= peak_rss_mb()
         text = (run_dir / "loss_log.csv").read_text()
-        assert "_s" not in text and "seconds" not in text
+        assert "_s" not in text and "seconds" not in text and "rss" not in text
 
     def test_config_baked_into_checkpoint(self, run_dir):
         ck = load_checkpoint(run_dir / "model.ckpt")
@@ -316,6 +317,23 @@ class TestTrain:
         assert [int(r[0]) for r in tail_rows] == [5, 6, 7, 8]
         assert load_checkpoint(resumed / "model.ckpt").step == 8
 
+    def test_resume_with_other_model_flags_writes_a_loadable_checkpoint(
+            self, run_dir, data_dir, tmp_path):
+        # a resumed run trains the restored model, so its checkpoint and
+        # manifest record that model's config, not the flags given
+        resumed = tmp_path / "resumed"
+        assert main(["train", "--data", str(data_dir), "--out", str(resumed),
+                     "--resume", str(run_dir / "model.ckpt"), "--no-context-encoder",
+                     "--set", "train.epochs=3", "--set", "train.batch_size=4"]
+                    + TINY_MODEL) == 0
+        assert load_checkpoint(resumed / "model.ckpt").model_config.use_context_encoder
+        manifest = json.loads((resumed / "run_manifest.json").read_text())
+        assert manifest["config"]["model"]["use_context_encoder"] is True
+        movie_file = next(data_dir.glob("*.movie.json"))
+        assert main(["infer", "--checkpoint", str(resumed / "model.ckpt"),
+                     "--movie", str(movie_file), "--out", str(tmp_path / "o.json"),
+                     "--max-len", "2"]) == 0
+
     def test_divergent_run_exit_3(self, data_dir, tmp_path, capsys):
         with np.errstate(over="ignore"):  # overflow is the point here
             rc = main(["train", "--data", str(data_dir),
@@ -399,8 +417,10 @@ class TestEval:
             assert 0.0 <= timings[phase] <= timings["wall_seconds"]
         assert timings["decoded_shots"] >= 1
         assert timings["decoded_shots_per_s"] > 0.0
+        assert 0.0 < timings["peak_rss_mb"] <= peak_rss_mb()
         text = (out / "eval_test.json").read_text()
         assert "timings" not in text and "_s\"" not in text and "seconds" not in text
+        assert "rss" not in text
 
     def test_gt_alignment_flag_present(self, run_dir, data_dir, tmp_path):
         out = tmp_path / "eval"
@@ -516,6 +536,7 @@ class TestInfer:
         timings = json.loads((tmp_path / "run_manifest.json").read_text())["timings"]
         assert 0.0 <= timings["decode_s"] <= timings["wall_seconds"]
         assert timings["decoded_shots_per_s"] > 0.0
+        assert 0.0 < timings["peak_rss_mb"] <= peak_rss_mb()
         sidecar = out.with_suffix(".decode.json").read_text()
         assert "_s\"" not in sidecar and "seconds" not in sidecar
 

@@ -1,4 +1,5 @@
-"""Initial weights of the linear layers: values and the memory used to draw them."""
+"""The linear layer: its initial weights (values and the memory used to draw
+them) and its graph node."""
 
 import tracemalloc
 
@@ -7,6 +8,7 @@ import pytest
 
 from trailergen import autodiff as ad
 from trailergen import layers
+from trailergen.autodiff import Tensor
 from trailergen.layers import Linear, xavier_uniform
 
 
@@ -37,3 +39,11 @@ def test_linear_init_peak_is_weight_plus_one_chunk():
     # casting buffer; a whole float64 draw would add 16 MiB
     weight = lin.weight.data.nbytes + lin.bias.data.nbytes
     assert peak <= weight + layers._INIT_CHUNK_BYTES + np.getbufsize() * 8
+
+
+def test_linear_is_one_graph_node():
+    lin = Linear(4, 3, np.random.default_rng(7))
+    x = Tensor(np.ones((2, 5, 4)), requires_grad=True)
+    out = lin(x)
+    assert len(out._parents) == 3
+    assert all(p is t for p, t in zip(out._parents, (x, lin.weight, lin.bias)))
