@@ -594,13 +594,21 @@ def _mask_bias(mask, shape: tuple, axis: int, dtype) -> np.ndarray:
     return bias
 
 
-def _softmax_inplace(z: np.ndarray, axis: int) -> np.ndarray:
-    """Overwrite ``z`` with its softmax along ``axis``; -inf entries become
-    exactly 0, and every row must hold at least one finite entry."""
-    z -= z.max(axis=axis, keepdims=True)
+def _softmax_inplace(z: np.ndarray, axis: int, stats: tuple | None = None) -> tuple:
+    """Overwrite ``z`` with its softmax along ``axis`` and return the
+    ``(max, sum)`` the softmax used; -inf entries become exactly 0, and every
+    row must hold at least one finite entry.
+
+    Given the ``stats`` an earlier call returned for the same ``z``, the call
+    uses them in place of new reductions and writes that call's exact bits.
+    """
+    hi, total = stats if stats is not None else (z.max(axis=axis, keepdims=True), None)
+    z -= hi
     np.exp(z, out=z)
-    z /= z.sum(axis=axis, keepdims=True)
-    return z
+    if total is None:
+        total = z.sum(axis=axis, keepdims=True)
+    z /= total
+    return hi, total
 
 
 def softmax(a, axis: int = -1, mask: np.ndarray | None = None) -> Tensor:
@@ -611,10 +619,10 @@ def softmax(a, axis: int = -1, mask: np.ndarray | None = None) -> Tensor:
     """
     a = as_tensor(a)
     if mask is None:
-        z = a.data - a.data.max(axis=axis, keepdims=True)
+        data = a.data - a.data.max(axis=axis, keepdims=True)
     else:
-        z = a.data + _mask_bias(mask, a.shape, axis, a.dtype)
-    data = _softmax_inplace(z, axis)
+        data = a.data + _mask_bias(mask, a.shape, axis, a.dtype)
+    _softmax_inplace(data, axis)
 
     def backward(g):
         if a.requires_grad:
@@ -686,6 +694,31 @@ def padding_mask(lengths, max_len: int) -> np.ndarray:
     return np.arange(max_len)[None, :] < lengths[:, None]
 
 
+# Attention runs over blocks of rows of the leading (batch) axis whose
+# [..., H, L_q, L_k] scores take at most this many bytes (or one row, if a row
+# takes more), and backward recomputes each block's weights rather than
+# keeping them.  Large enough that a block's arithmetic outweighs its Python
+# overhead (one desk batch row at L 202 is 0.65 MB of float32 scores), small
+# enough that a block's scores and their gradient stay within a 2 MiB L2
+# cache.  Scores that fit take one block.
+_ATTENTION_BLOCK_BYTES = 1 << 20
+
+
+def _attention_weights(qh, kh, bias, scale, stats=None) -> tuple:
+    """One block's attention weights and the ``(max, sum)`` of their softmax.
+
+    Forward checks the scores and computes the stats; backward hands them
+    back, so the weights it recomputes are the forward's to the bit.
+    """
+    weights = qh @ kh.swapaxes(-1, -2)
+    weights *= scale
+    if stats is None:
+        _check_finite(weights, "attention_scores")
+    if bias is not None:
+        weights += bias
+    return weights, _softmax_inplace(weights, -1, stats)
+
+
 def multi_head_attention(q, k, v, num_heads: int, mask: np.ndarray | None = None) -> Tensor:
     """Scaled dot-product attention with head splitting, as one graph node.
 
@@ -697,9 +730,12 @@ def multi_head_attention(q, k, v, num_heads: int, mask: np.ndarray | None = None
     copies: each [L, dk] head slice has unit column stride and row stride
     d, which numpy's matmul hands to BLAS as it is, so ``q``/``k``/``v``
     may themselves be views, such as the filled rows of a decode cache.
-    The backward pass works from the saved attention weights and the op's
-    own output, so the weights are the only [..., H, L_q, L_k] array the
-    graph keeps.
+    Forward and backward run over blocks of the first leading axis, sized by
+    ``_ATTENTION_BLOCK_BYTES``.  The graph keeps no [..., H, L_q, L_k] array:
+    forward keeps each row's softmax max and sum ([..., H, L_q, 1] each), and
+    backward recomputes each block's weights from them with the forward's
+    own operations, so they are bit-identical (FlashAttention's recompute,
+    Dao et al. 2022).
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     d = q.shape[-1]
@@ -719,28 +755,57 @@ def multi_head_attention(q, k, v, num_heads: int, mask: np.ndarray | None = None
         return x.swapaxes(-3, -2).reshape(lead)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    probs = qh @ kh.swapaxes(-1, -2)
-    probs *= scale
-    _check_finite(probs, "attention_scores")
-    if mask is not None:
-        probs += _mask_bias(mask, probs.shape, -1, probs.dtype)
-    _softmax_inplace(probs, -1)
-    data = merge(probs @ vh)
+    scores_shape = qh.shape[:-1] + kh.shape[-2:-1]
+    bias = None if mask is None else _mask_bias(mask, scores_shape, -1, qh.dtype)
+    rows = scores_shape[0] if qh.ndim > 3 else 1
+    scores_bytes = qh.size // dk * scores_shape[-1] * qh.itemsize
+
+    def bias_rows(block):  # a mask row that every row shares is not sliced
+        return bias if bias is None or bias.shape[0] == 1 else bias[block]
+
+    if rows == 1 or scores_bytes <= _ATTENTION_BLOCK_BYTES:
+        # one block: nothing is sliced, and the output merges from the heads
+        weights, stats = _attention_weights(qh, kh, bias, scale)
+        data = merge(weights @ vh)
+        blocks, stats = [...], [stats]
+    else:
+        per_block = max(1, _ATTENTION_BLOCK_BYTES * rows // scores_bytes)
+        blocks = [slice(i, i + per_block) for i in range(0, rows, per_block)]
+        data = np.empty(q.shape, np.result_type(qh, kh, vh))
+        out, stats = split(data), []
+        for block in blocks:
+            weights, block_stats = _attention_weights(qh[block], kh[block],
+                                                      bias_rows(block), scale)
+            out[block] = weights @ vh[block]
+            stats.append(block_stats)
+    del weights
 
     def backward(g):
-        gh = split(g)
-        if v.requires_grad:
-            v._accumulate(merge(probs.swapaxes(-1, -2) @ gh))
-        # dS = P * (dP - D), folded with the score scale, where
-        # D = rowsum(dP * P) = rowsum(dO * O) sums over dk, not over L_k
-        ds = gh @ vh.swapaxes(-1, -2)
-        ds -= (gh * split(data)).sum(axis=-1, keepdims=True)
-        ds *= probs
-        ds *= scale
-        if q.requires_grad:
-            q._accumulate(merge(ds @ kh))
-        if k.requires_grad:
-            k._accumulate(merge(ds.swapaxes(-1, -2) @ qh))
+        gh, oh = split(g), split(data)
+        # v, q, k: the order in which the gradients reach a shared operand
+        operands = (v, q, k)
+        grads = [np.empty(t.shape, data.dtype) if t.requires_grad else None
+                 for t in operands]
+        gv, gq, gk = (None if grad is None else split(grad) for grad in grads)
+        for block, block_stats in zip(blocks, stats):
+            weights, _ = _attention_weights(qh[block], kh[block], bias_rows(block),
+                                            scale, block_stats)
+            g_block = gh[block]
+            if gv is not None:
+                gv[block] = weights.swapaxes(-1, -2) @ g_block
+            # dS = P * (dP - D), folded with the score scale, where
+            # D = rowsum(dP * P) = rowsum(dO * O) sums over dk, not over L_k
+            ds = g_block @ vh[block].swapaxes(-1, -2)
+            ds -= (g_block * oh[block]).sum(axis=-1, keepdims=True)
+            ds *= weights
+            ds *= scale
+            if gq is not None:
+                gq[block] = ds @ kh[block]
+            if gk is not None:
+                gk[block] = ds.swapaxes(-1, -2) @ qh[block]
+        for t, grad in zip(operands, grads):
+            if grad is not None:
+                t._accumulate(grad)
 
     return _make(data, (q, k, v), backward, "attention")
 

@@ -202,6 +202,18 @@ def cmd_train(args) -> int:
     if args.use_conditions:
         flags["condition_mode"] = "encoded"
     model_cfg = _model_config(sections, args.preset, flags)
+    if args.resume is not None:
+        # a resumed run trains the checkpoint's model: a model key given
+        # here must agree with it, not be dropped
+        entries = sections.get("model", {})
+        given = set(flags) | set(entries)
+        if args.preset or "preset" in entries:
+            given |= set(model_cfg.to_dict())
+        stored = load_checkpoint(args.resume).model_config.to_dict()
+        for key, value in model_cfg.to_dict().items():
+            if key in given and value != stored[key]:
+                raise InputError(f"model key {key!r} asks for {value!r}, but {args.resume} "
+                                 f"holds {stored[key]!r}; a resumed run keeps its model")
     train_values = dict(sections.get("train", {}))
     if args.seed is not None:
         train_values["seed"] = args.seed

@@ -285,6 +285,92 @@ def test_attention_is_one_graph_node():
     assert out._backward_fn is not None
 
 
+def _row_valid_lengths(b, length):
+    return [length, 3, length - 1, 1, 2][:b]
+
+
+# masks over [B, H, L, L] scores, each in the shape its caller builds it
+BLOCK_MASKS = {
+    "none": lambda b, length: None,
+    "key_padding": lambda b, length: ad.padding_mask(
+        _row_valid_lengths(b, length), length)[:, None, None, :],
+    "causal": lambda b, length: ad.causal_mask(length),
+    "causal_and_row_valid": lambda b, length: ad.causal_mask(length)[None, None]
+    & ad.padding_mask(_row_valid_lengths(b, length), length)[:, None, None, :],
+}
+
+
+def _attend_with_block(monkeypatch, block_bytes, lead, dtype, mask_name, heads=2):
+    monkeypatch.setattr(ad, "_ATTENTION_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(31)
+    length = 6
+    q, k, v = (Tensor(rng.standard_normal(lead + (length, 8)), requires_grad=True,
+                      dtype=dtype) for _ in range(3))
+    mask = BLOCK_MASKS[mask_name](lead[0] if lead else 1, length)
+    if mask is not None and not lead:
+        mask = mask.reshape(mask.shape[-2:])
+    out = ad.multi_head_attention(q, k, v, heads, mask=mask)
+    out.backward(rng.standard_normal(out.shape).astype(dtype))
+    return [out.data, q.grad, k.grad, v.grad]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mask_name", sorted(BLOCK_MASKS))
+@pytest.mark.parametrize("rows_per_block", [1, 2])
+def test_blocked_attention_is_bit_equal_to_one_block(monkeypatch, dtype, mask_name,
+                                                     rows_per_block):
+    # 5 batch rows: blocks of 2 leave a last block of 1
+    lead = (5,)
+    row_bytes = 2 * 6 * 6 * np.dtype(dtype).itemsize  # [H, L_q, L_k] of one row
+    whole = _attend_with_block(monkeypatch, 1 << 20, lead, dtype, mask_name)
+    blocked = _attend_with_block(monkeypatch, rows_per_block * row_bytes, lead, dtype,
+                                 mask_name)
+    for name, want, got in zip(("out", "dq", "dk", "dv"), whole, blocked):
+        assert got.dtype == want.dtype == dtype, name
+        assert np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mask_name", sorted(BLOCK_MASKS))
+def test_attention_on_2d_inputs_is_one_block_at_any_block_size(monkeypatch, dtype,
+                                                               mask_name):
+    whole = _attend_with_block(monkeypatch, 1 << 20, (), dtype, mask_name)
+    tiny = _attend_with_block(monkeypatch, 1, (), dtype, mask_name)
+    for name, want, got in zip(("out", "dq", "dk", "dv"), whole, tiny):
+        assert np.array_equal(got, want), name
+
+
+def test_multi_block_attention_grad_check(monkeypatch):
+    monkeypatch.setattr(ad, "_ATTENTION_BLOCK_BYTES", 1)  # one batch row per block
+    rng = np.random.default_rng(32)
+    q, k, v = (t64(rng.standard_normal((3, 4, 4)), requires_grad=True) for _ in range(3))
+    mask = BLOCK_MASKS["causal_and_row_valid"](3, 4)
+    probe = rng.standard_normal((3, 4, 4))
+    report = ad.grad_check(
+        lambda: ad.tensor_sum(ad.mul(ad.multi_head_attention(q, k, v, 2, mask=mask), probe)),
+        [q, k, v])
+    assert report.ok, report.entries
+
+
+def test_attention_graph_keeps_no_score_sized_array():
+    # the desk batch's widest encoder layer: [B 8, H 4, L 202, L 202] float32 scores
+    rng = np.random.default_rng(33)
+    q, k, v = (Tensor(rng.standard_normal((8, 202, 64)), requires_grad=True,
+                      dtype=np.float32) for _ in range(3))
+    mask = ad.padding_mask([202, 150, 180, 202, 120, 202, 90, 200], 202)[:, None, None, :]
+    scores_bytes = 8 * 4 * 202 * 202 * 4
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = ad.multi_head_attention(q, k, v, 4, mask=mask)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < scores_bytes
+    out.backward(np.ones(out.shape, dtype=np.float32))
+    assert q.grad.shape == k.grad.shape == v.grad.shape == (8, 202, 64)
+
+
 # ---------------------------------------------------------------------------
 # elementwise
 # ---------------------------------------------------------------------------

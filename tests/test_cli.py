@@ -317,22 +317,40 @@ class TestTrain:
         assert [int(r[0]) for r in tail_rows] == [5, 6, 7, 8]
         assert load_checkpoint(resumed / "model.ckpt").step == 8
 
-    def test_resume_with_other_model_flags_writes_a_loadable_checkpoint(
-            self, run_dir, data_dir, tmp_path):
-        # a resumed run trains the restored model, so its checkpoint and
-        # manifest record that model's config, not the flags given
+    @pytest.mark.parametrize("flags, key", [
+        (["--no-context-encoder"], "use_context_encoder"),
+        (["--no-trailerness-encoder"], "use_trailerness_encoder"),
+        (["--use-conditions"], "condition_mode"),
+        (["--preset", "desk"], "eos_rule"),  # TINY_MODEL keys override the preset
+        (["--set", "model.eos_threshold=0.5"], "eos_threshold"),
+    ], ids=["no-context-encoder", "no-trailerness-encoder", "use-conditions", "preset", "set"])
+    def test_resume_with_other_model_flags_exits_2(self, run_dir, data_dir, tmp_path,
+                                                    capsys, flags, key):
+        # a resumed run trains the checkpoint's model, so a model flag that
+        # asks for another one is refused, not dropped
         resumed = tmp_path / "resumed"
-        assert main(["train", "--data", str(data_dir), "--out", str(resumed),
-                     "--resume", str(run_dir / "model.ckpt"), "--no-context-encoder",
-                     "--set", "train.epochs=3", "--set", "train.batch_size=4"]
-                    + TINY_MODEL) == 0
-        assert load_checkpoint(resumed / "model.ckpt").model_config.use_context_encoder
-        manifest = json.loads((resumed / "run_manifest.json").read_text())
-        assert manifest["config"]["model"]["use_context_encoder"] is True
-        movie_file = next(data_dir.glob("*.movie.json"))
-        assert main(["infer", "--checkpoint", str(resumed / "model.ckpt"),
-                     "--movie", str(movie_file), "--out", str(tmp_path / "o.json"),
-                     "--max-len", "2"]) == 0
+        capsys.readouterr()
+        rc = main(["train", "--data", str(data_dir), "--out", str(resumed),
+                   "--resume", str(run_dir / "model.ckpt"),
+                   "--set", "train.epochs=3", "--set", "train.batch_size=4"]
+                  + TINY_MODEL + flags)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and repr(key) in err
+        assert not (resumed / "model.ckpt").exists()
+
+    def test_resume_with_matching_or_no_model_flags_trains(self, run_dir, data_dir,
+                                                          tmp_path):
+        matching = TINY_MODEL + ["--set", "model.eos_rule=threshold",
+                                 "--set", "model.eos_threshold=1.1"]
+        for name, flags in (("matching", matching), ("none", [])):
+            resumed = tmp_path / name
+            assert main(["train", "--data", str(data_dir), "--out", str(resumed),
+                         "--resume", str(run_dir / "model.ckpt"),
+                         "--set", "train.epochs=3", "--set", "train.batch_size=4",
+                         "--set", "train.lr_peak=1e-3", "--set", "train.seed=0"]
+                        + flags) == 0
+            assert load_checkpoint(resumed / "model.ckpt").step == 3 * 2  # 2 steps an epoch
 
     def test_divergent_run_exit_3(self, data_dir, tmp_path, capsys):
         with np.errstate(over="ignore"):  # overflow is the point here

@@ -437,6 +437,23 @@ class TestTrain:
         b = train(pairs, cfg, SLIM)
         assert a.history == b.history
 
+    def test_one_batch_row_per_attention_block_trains_bit_identically(self, monkeypatch):
+        # every attention call of these batches fits one block by default
+        pairs = tiny_pairs(5)
+        cfg = TrainConfig(epochs=2, batch_size=3, lr_peak=1e-3, seed=4)
+        whole = train(pairs, cfg, SLIM)
+        monkeypatch.setattr(ad, "_ATTENTION_BLOCK_BYTES", 1)
+        blocked = train(pairs, cfg, SLIM)
+
+        def history_bytes(result):
+            return np.array([[row[key] for key in sorted(row)] for row in result.history],
+                            dtype=np.float64).tobytes()
+
+        assert history_bytes(blocked) == history_bytes(whole)
+        for (name, p), (_, q) in zip(whole.model.named_parameters(),
+                                     blocked.model.named_parameters()):
+            assert np.array_equal(p.data, q.data), name
+
     def test_history_one_record_per_step(self):
         pairs = tiny_pairs(3)
         cfg = TrainConfig(epochs=2, batch_size=2, lr_peak=1e-3, seed=4)
