@@ -1,11 +1,14 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-A ``Tensor`` wraps an ndarray and records the operations applied to it.
+A ``Tensor`` wraps an ndarray and, when it requires grad, a graph node.
 Calling :meth:`Tensor.backward` on a scalar result walks the recorded
 graph in reverse topological order and accumulates gradients into every
-tensor that has ``requires_grad`` set.  Each primitive stores a closure
-that maps the output gradient to input gradients, so the graph itself is
-nothing more than parent pointers plus those closures.
+tensor that has ``requires_grad`` set.  The graph is made of nodes, not
+tensors: a node holds its gradient, its parents' nodes and a closure that
+maps its gradient onto theirs, and the closure keeps only the arrays its
+backward reads (a ``matmul`` its operands, a ``relu`` its own output, an
+``add`` shapes only).  So an op output that no backward reads is freed in
+the forward pass, as soon as the code that made it drops it.
 
 Conventions used throughout the package:
 
@@ -181,17 +184,64 @@ def _sum_to_shape(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-class Tensor:
-    """An ndarray with an optional gradient and a backward closure."""
+class _Node:
+    """A tensor's place in the graph: its gradient, its parents' nodes and
+    the closure that maps its gradient onto theirs.  A leaf has no parents
+    and no closure; a node that a backward walk has passed has ``parents``
+    None.  ``shape`` and ``dtype`` are the tensor's."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
+    __slots__ = ("grad", "parents", "backward_fn", "shape", "dtype")
+
+    def __init__(self, shape: tuple, dtype: np.dtype, parents: tuple = (), backward_fn=None):
+        self.grad: np.ndarray | None = None
+        self.parents = parents
+        self.backward_fn = backward_fn
+        self.shape = shape
+        self.dtype = dtype
+
+    def accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
+        """Add ``g`` into the gradient.
+
+        The first gradient is copied, not kept: ops hand the same array (or
+        views of it) to several parents, and later ones add in place.  An op
+        passes ``fresh`` for an array it built for this node alone and keeps
+        no reference to; one of the node's shape and dtype is kept as it is.
+        """
+        if self.grad is None:
+            if g.shape == self.shape:
+                if fresh and g.dtype == self.dtype:
+                    self.grad = g
+                else:
+                    self.grad = np.array(g, dtype=self.dtype, copy=True)
+                return
+            self.grad = np.zeros(self.shape, self.dtype)
+        self.grad += g
+
+
+class Tensor:
+    """An ndarray and, when it requires grad, its node in the graph."""
+
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = np.asarray(data, dtype=dtype if dtype is not None else _default_dtype)
-        self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad) and _grad_enabled
-        self._parents: tuple = ()
-        self._backward_fn = None
+        self._node = (_Node(self.data.shape, self.data.dtype)
+                      if requires_grad and _grad_enabled else None)
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value) -> None:
+        if self._node is not None:
+            self._node.grad = value
+        elif value is not None:
+            raise ValueError("a tensor that does not require grad holds no gradient")
 
     # -- array-ish accessors ------------------------------------------------
 
@@ -219,10 +269,7 @@ class Tensor:
     def detach(self) -> "Tensor":
         out = Tensor.__new__(Tensor)
         out.data = self.data
-        out.grad = None
-        out.requires_grad = False
-        out._parents = ()
-        out._backward_fn = None
+        out._node = None
         return out
 
     def __repr__(self) -> str:
@@ -231,28 +278,21 @@ class Tensor:
 
     # -- gradient machinery ---------------------------------------------------
 
-    def _accumulate(self, g: np.ndarray) -> None:
-        # the first gradient is copied, never kept: ops hand the same array
-        # (or views of it) to several parents, and later ones add in place
-        if self.grad is None:
-            if g.shape == self.data.shape:
-                self.grad = np.array(g, dtype=self.data.dtype, copy=True)
-                return
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
-
     def backward(self, grad=None) -> None:
         """Backpropagate from this tensor through the recorded graph.
 
         Without an explicit ``grad`` the tensor must be scalar.  The graph is
         walked iteratively (no recursion limit issues on long autoregressive
-        chains) and freed as the walk goes, not afterwards: each node drops
-        its parents and backward closure, and with them the arrays the
-        closure saved, when the walk reaches it, and drops its gradient once
-        its backward has read it.  Only the root's and the leaves' gradients
-        remain.
+        chains) and released as the walk goes: each node drops its parents
+        and backward closure, and with them the arrays the closure saved,
+        when the walk reaches it, and drops its gradient once its backward
+        has read it.  Only the root's and the leaves' gradients remain.  A
+        released graph cannot be walked again: a walk that reaches a node an
+        earlier walk released raises ``ValueError`` before any gradient
+        moves.
         """
-        if not self.requires_grad:
+        root = self._node
+        if root is None:
             raise ValueError("backward() on a tensor that does not require grad")
         if grad is None:
             if self.data.size != 1:
@@ -262,34 +302,37 @@ class Tensor:
             grad = np.asarray(grad, dtype=self.data.dtype)
 
         # iterative post-order DFS
-        order: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        order: list[_Node] = []
+        visited: set[_Node] = set()
+        stack: list[tuple[_Node, bool]] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
                 order.append(node)
                 continue
-            if id(node) in visited:
+            if node in visited:
                 continue
-            visited.add(id(node))
+            if node.parents is None:
+                raise ValueError("backward() through a graph that an earlier "
+                                 "backward() released")
+            visited.add(node)
             stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in visited:
+            for p in node.parents:
+                if p not in visited:
                     stack.append((p, False))
 
-        self._accumulate(grad)
+        root.accumulate(grad)
         # popped in reverse topological order, so the walk holds no node it has
         # passed: one that nothing else references is freed there and then
         while order:
             node = order.pop()
-            backward_fn = node._backward_fn
+            backward_fn = node.backward_fn
             if backward_fn is None:
                 continue  # a leaf keeps its gradient
-            node._backward_fn = None
-            node._parents = ()
+            node.backward_fn = None
+            node.parents = None
             backward_fn(node.grad)
-            if node is not self:
+            if node is not root:
                 node.grad = None
 
     def __getitem__(self, idx):
@@ -302,8 +345,9 @@ class Parameter(Tensor):
     __slots__ = ("name",)
 
     def __init__(self, data, name: str = "", dtype=None):
-        super().__init__(data, requires_grad=True, dtype=dtype)
-        self.requires_grad = True  # parameters stay trainable even under no_grad
+        super().__init__(data, dtype=dtype)
+        # a node even under no_grad: parameters stay trainable
+        self._node = _Node(self.data.shape, self.data.dtype)
         self.name = name
 
 
@@ -356,19 +400,20 @@ def _pair(a, b) -> tuple:
 
 
 def _make(data: np.ndarray, parents: tuple, backward_fn, op: str) -> Tensor:
-    """Build an op result, recording the graph only when a parent needs grad."""
+    """Build an op result, recording the graph only when a parent needs grad.
+
+    ``backward_fn`` maps the result's gradient onto the nodes of the parents
+    that need one.  It holds those nodes and the arrays it reads, never the
+    parent tensors, so the graph keeps no array that no backward reads.
+    """
     _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.grad = None
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(p for p in parents if p.requires_grad)
-        out._backward_fn = backward_fn
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._backward_fn = None
+    out._node = None
+    if _grad_enabled:
+        nodes = tuple(p._node for p in parents if p._node is not None)
+        if nodes:
+            out._node = _Node(data.shape, data.dtype, nodes, backward_fn)
     return out
 
 
@@ -380,12 +425,13 @@ def _make(data: np.ndarray, parents: tuple, backward_fn, op: str) -> Tensor:
 def add(a, b) -> Tensor:
     a, b = _pair(a, b)
     data = a.data + b.data
+    na, nb = a._node, b._node
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_sum_to_shape(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_sum_to_shape(g, b.shape))
+        if na is not None:
+            na.accumulate(_sum_to_shape(g, na.shape))
+        if nb is not None:
+            nb.accumulate(_sum_to_shape(g, nb.shape))
 
     return _make(data, (a, b), backward, "add")
 
@@ -393,12 +439,13 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = _pair(a, b)
     data = a.data - b.data
+    na, nb = a._node, b._node
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_sum_to_shape(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_sum_to_shape(-g, b.shape))
+        if na is not None:
+            na.accumulate(_sum_to_shape(g, na.shape))
+        if nb is not None:
+            nb.accumulate(_sum_to_shape(-g, nb.shape))
 
     return _make(data, (a, b), backward, "sub")
 
@@ -406,23 +453,25 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = _pair(a, b)
     data = a.data * b.data
+    na, nb = a._node, b._node
+    x, y = a.data, b.data
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_sum_to_shape(g * b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_sum_to_shape(g * a.data, b.shape))
+        if na is not None:
+            na.accumulate(_sum_to_shape(g * y, na.shape))
+        if nb is not None:
+            nb.accumulate(_sum_to_shape(g * x, nb.shape))
 
     return _make(data, (a, b), backward, "mul")
 
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
+    na = a._node
     data = np.exp(a.data)
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * data)
+        na.accumulate(g * data)
 
     return _make(data, (a,), backward, "exp")
 
@@ -442,6 +491,7 @@ def matmul(a, b, bias=None) -> Tensor:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
     data = a.data @ b.data
     operands = (a, b)
+    nbias = None
     if bias is not None:
         if not isinstance(bias, Tensor):
             bias = Tensor(bias, dtype=data.dtype)
@@ -453,16 +503,18 @@ def matmul(a, b, bias=None) -> Tensor:
         else:
             data = data + bias.data
         operands = (a, b, bias)
+        nbias = bias._node
+    na, nb = a._node, b._node
+    x, w = a.data, b.data
 
     def backward(g):
-        if a.requires_grad:
-            ga = g @ b.data.swapaxes(-1, -2)
-            a._accumulate(_sum_to_shape(ga, a.shape))
-        if b.requires_grad:
-            gb = a.data.swapaxes(-1, -2) @ g
-            b._accumulate(_sum_to_shape(gb, b.shape))
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(_sum_to_shape(g, bias.shape))
+        # both products are fresh arrays that only their operand receives
+        if na is not None:
+            na.accumulate(_sum_to_shape(g @ w.swapaxes(-1, -2), na.shape), fresh=True)
+        if nb is not None:
+            nb.accumulate(_sum_to_shape(x.swapaxes(-1, -2) @ g, nb.shape), fresh=True)
+        if nbias is not None:
+            nbias.accumulate(_sum_to_shape(g, nbias.shape))
 
     return _make(data, operands, backward, "matmul")
 
@@ -470,14 +522,13 @@ def matmul(a, b, bias=None) -> Tensor:
 def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     data = a.data.sum(axis=axis, keepdims=keepdims)
+    na = a._node
 
     def backward(g):
-        if not a.requires_grad:
-            return
         gg = g
         if axis is not None and not keepdims:
             gg = np.expand_dims(gg, axis)
-        a._accumulate(np.broadcast_to(gg, a.shape).astype(a.data.dtype, copy=False))
+        na.accumulate(np.broadcast_to(gg, na.shape).astype(na.dtype, copy=False))
 
     return _make(data, (a,), backward, "sum")
 
@@ -485,10 +536,10 @@ def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     data = a.data.reshape(shape)
+    na = a._node
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.reshape(a.shape))
+        na.accumulate(g.reshape(na.shape))
 
     return _make(data, (a,), backward, "reshape")
 
@@ -498,10 +549,10 @@ def transpose(a, axes) -> Tensor:
     axes = tuple(axes)
     data = a.data.transpose(axes)
     inverse = tuple(np.argsort(axes))
+    na = a._node
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.transpose(inverse))
+        na.accumulate(g.transpose(inverse))
 
     return _make(data, (a,), backward, "transpose")
 
@@ -513,12 +564,13 @@ def concat(tensors, axis: int = 0) -> Tensor:
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
+    nodes = [t._node for t in tensors]
 
     def backward(g):
         pieces = np.split(g, splits, axis=axis)
-        for t, piece in zip(tensors, pieces):
-            if t.requires_grad:
-                t._accumulate(piece)
+        for node, piece in zip(nodes, pieces):
+            if node is not None:
+                node.accumulate(piece)
 
     return _make(data, tuple(tensors), backward, "concat")
 
@@ -528,50 +580,52 @@ def stack(tensors, axis: int = 0) -> Tensor:
     if not tensors:
         raise ShapeError("stack of an empty sequence")
     data = np.stack([t.data for t in tensors], axis=axis)
+    nodes = [t._node for t in tensors]
 
     def backward(g):
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                t._accumulate(np.take(g, i, axis=axis))
+        for i, node in enumerate(nodes):
+            if node is not None:
+                node.accumulate(np.take(g, i, axis=axis))
 
     return _make(data, tuple(tensors), backward, "stack")
 
 
 def _getitem(a: Tensor, idx) -> Tensor:
     data = a.data[idx]
+    na = a._node
 
     def backward(g):
-        if a.requires_grad:
-            buf = np.zeros_like(a.data)
-            np.add.at(buf, idx, g)
-            a._accumulate(buf)
+        buf = np.zeros(na.shape, na.dtype)
+        np.add.at(buf, idx, g)
+        na.accumulate(buf, fresh=True)
 
     return _make(data, (a,), backward, "getitem")
 
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
+    na = a._node
     x = a.data
     # split by sign to stay stable for large |x|
     data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * data * (1.0 - data))
+        na.accumulate(g * data * (1.0 - data))
 
     return _make(data, (a,), backward, "sigmoid")
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
+    na = a._node
     if _kink_watch is not None and a.data.size:
         _kink_watch.append(float(np.abs(a.data).min()))
     data = np.maximum(a.data, 0)
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * (a.data > 0))
+        # data > 0 exactly where the input is, so the input need not be kept
+        na.accumulate(g * (data > 0))
 
     return _make(data, (a,), backward, "relu")
 
@@ -618,6 +672,7 @@ def softmax(a, axis: int = -1, mask: np.ndarray | None = None) -> Tensor:
     over the visible set, as if -inf were added to the masked logits.
     """
     a = as_tensor(a)
+    na = a._node
     if mask is None:
         data = a.data - a.data.max(axis=axis, keepdims=True)
     else:
@@ -625,15 +680,15 @@ def softmax(a, axis: int = -1, mask: np.ndarray | None = None) -> Tensor:
     _softmax_inplace(data, axis)
 
     def backward(g):
-        if a.requires_grad:
-            inner = (g * data).sum(axis=axis, keepdims=True)
-            a._accumulate(data * (g - inner))
+        inner = (g * data).sum(axis=axis, keepdims=True)
+        na.accumulate(data * (g - inner))
 
     return _make(data, (a,), backward, "softmax")
 
 
 def log_softmax(a, axis: int = -1) -> Tensor:
     a = as_tensor(a)
+    na = a._node
     z = a.data
     hi = z.max(axis=axis, keepdims=True)
     shifted = z - hi
@@ -642,8 +697,7 @@ def log_softmax(a, axis: int = -1) -> Tensor:
     soft = np.exp(data)
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g - soft * g.sum(axis=axis, keepdims=True))
+        na.accumulate(g - soft * g.sum(axis=axis, keepdims=True))
 
     return _make(data, (a,), backward, "log_softmax")
 
@@ -654,6 +708,8 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
     d = a.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layer_norm scale/shift must have shape ({d},)")
+    na, ngamma, nbeta = a._node, gamma._node, beta._node
+    scale = gamma.data
     # sum / d gives .mean's bits without its Python-level wrapper
     mu = a.data.sum(axis=-1, keepdims=True) / d
     centered = a.data - mu
@@ -663,15 +719,15 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
     data = gamma.data * normed + beta.data
 
     def backward(g):
-        if a.requires_grad:
-            gy = g * gamma.data
+        if na is not None:
+            gy = g * scale
             term = gy.sum(axis=-1, keepdims=True) / d
             proj = (gy * normed).sum(axis=-1, keepdims=True) / d
-            a._accumulate(inv * (gy - term - normed * proj))
-        if gamma.requires_grad:
-            gamma._accumulate(_sum_to_shape(g * normed, gamma.shape))
-        if beta.requires_grad:
-            beta._accumulate(_sum_to_shape(g, beta.shape))
+            na.accumulate(inv * (gy - term - normed * proj))
+        if ngamma is not None:
+            ngamma.accumulate(_sum_to_shape(g * normed, ngamma.shape))
+        if nbeta is not None:
+            nbeta.accumulate(_sum_to_shape(g, nbeta.shape))
 
     return _make(data, (a, gamma, beta), backward, "layer_norm")
 
@@ -780,12 +836,13 @@ def multi_head_attention(q, k, v, num_heads: int, mask: np.ndarray | None = None
             stats.append(block_stats)
     del weights
 
+    # v, q, k: the order in which the gradients reach a shared operand
+    nodes = (v._node, q._node, k._node)
+
     def backward(g):
         gh, oh = split(g), split(data)
-        # v, q, k: the order in which the gradients reach a shared operand
-        operands = (v, q, k)
-        grads = [np.empty(t.shape, data.dtype) if t.requires_grad else None
-                 for t in operands]
+        grads = [None if node is None else np.empty(node.shape, data.dtype)
+                 for node in nodes]
         gv, gq, gk = (None if grad is None else split(grad) for grad in grads)
         for block, block_stats in zip(blocks, stats):
             weights, _ = _attention_weights(qh[block], kh[block], bias_rows(block),
@@ -803,9 +860,10 @@ def multi_head_attention(q, k, v, num_heads: int, mask: np.ndarray | None = None
                 gq[block] = ds @ kh[block]
             if gk is not None:
                 gk[block] = ds.swapaxes(-1, -2) @ qh[block]
-        for t, grad in zip(operands, grads):
+        # each buffer is fresh and goes to one node
+        for node, grad in zip(nodes, grads):
             if grad is not None:
-                t._accumulate(grad)
+                node.accumulate(grad, fresh=True)
 
     return _make(data, (q, k, v), backward, "attention")
 

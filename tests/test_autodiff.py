@@ -3,6 +3,7 @@ against finite differences, mask semantics, and the error contract."""
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import oracles
@@ -280,9 +281,8 @@ def test_attention_is_one_graph_node():
     rng = np.random.default_rng(5)
     q, k, v = (t64(rng.standard_normal((2, 4, 4)), requires_grad=True) for _ in range(3))
     out = ad.multi_head_attention(q, k, v, 2, mask=_causal_and_padding(4, 4))
-    assert len(out._parents) == 3
-    assert all(p is t for p, t in zip(out._parents, (q, k, v)))
-    assert out._backward_fn is not None
+    assert out._node.parents == (q._node, k._node, v._node)
+    assert out._node.backward_fn is not None
 
 
 def _row_valid_lengths(b, length):
@@ -442,13 +442,9 @@ def test_grad_check_detects_wrong_gradient():
         out = ad.tensor_sum(y)
 
         def backward(g):
-            x._accumulate(-2.0 * x.data * g)  # wrong sign on purpose
+            x._node.accumulate(-2.0 * x.data * g)  # wrong sign on purpose
 
-        bad = Tensor(out.data, dtype=np.float64)
-        bad.requires_grad = True
-        bad._parents = (x,)
-        bad._backward_fn = backward
-        return bad
+        return ad._make(out.data, (x,), backward, "broken_square")
 
     report = ad.grad_check(broken_square, [x])
     assert not report.ok
@@ -589,7 +585,9 @@ def test_no_grad_blocks_graph_recording():
     with ad.no_grad():
         y = ad.mul(x, 3.0)
     assert not y.requires_grad
-    assert y._parents == ()
+    assert y._node is None and y.grad is None
+    with pytest.raises(ValueError):
+        y.grad = np.ones(1)  # no node to hold it
 
 
 def test_detach_shares_data_but_cuts_graph():
@@ -639,6 +637,44 @@ def test_backward_frees_each_gradient_once_read():
     assert all(node.grad is None for node in nodes[1:]) and loss.grad is not None
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_backward_reads_its_output_bit_for_bit(dtype):
+    tiny = np.finfo(dtype).smallest_subnormal
+    values = np.array([-2.5, -0.0, 0.0, tiny, -tiny, 1.0, -1e-3, 7.0], dtype=dtype)
+    x = Tensor(values, requires_grad=True, dtype=dtype)
+    pre = ad.reshape(x, (2, 4))
+    pre_data = weakref.ref(pre.data)
+    out = ad.relu(pre)
+    del pre
+    assert pre_data() is None  # the graph does not keep relu's input
+    g = np.array([[1.5, -2.0, -3.0, 4.0], [-5.0, -6.0, 7.0, -8.0]], dtype=dtype)
+    out.backward(g)
+    # the rule that reads the input: zero (of g's sign) wherever x <= 0
+    expected = (g * (values.reshape(2, 4) > 0)).reshape(-1)
+    assert x.grad.dtype == dtype
+    assert x.grad.tobytes() == expected.tobytes()
+
+
+def test_second_backward_through_released_graph_raises():
+    x = t64([1.0, 2.0], requires_grad=True)
+    hidden = ad.mul(x, 3.0)
+    loss = ad.tensor_sum(hidden)
+    loss.backward()
+    with pytest.raises(ValueError, match="released"):
+        loss.backward()
+    with pytest.raises(ValueError, match="released"):
+        ad.tensor_sum(ad.add(hidden, 1.0)).backward()  # a new root over old nodes
+    assert np.array_equal(x.grad, [3.0, 3.0]) and loss.grad == 1.0
+    assert hidden.grad is None
+
+
+def test_leaf_backward_accumulates_each_call():
+    x = t64([1.0, 2.0], requires_grad=True)
+    for _ in range(2):
+        x.backward(np.ones(2))
+    assert np.array_equal(x.grad, [2.0, 2.0])
+
+
 def test_backward_keeps_only_root_and_leaf_gradients():
     x = t64(np.linspace(-1.0, 1.0, 6).reshape(2, 3), requires_grad=True)
     w = Parameter(np.ones((3, 2)), dtype=np.float64)
@@ -648,8 +684,8 @@ def test_backward_keeps_only_root_and_leaf_gradients():
     loss.backward()
     assert hidden.grad is None and out.grad is None
     assert loss.grad is not None and x.grad is not None and w.grad is not None
-    for node in (hidden, out, loss):
-        assert node._parents == () and node._backward_fn is None
+    for node in (hidden._node, out._node, loss._node):
+        assert node.parents is None and node.backward_fn is None
 
 
 def test_deep_chain_does_not_hit_recursion_limit():

@@ -1,5 +1,5 @@
 """The linear layer: its initial weights (values and the memory used to draw
-them) and its graph node."""
+them) and its graph node; the arrays an encoder layer's graph keeps."""
 
 import tracemalloc
 
@@ -9,7 +9,7 @@ import pytest
 from trailergen import autodiff as ad
 from trailergen import layers
 from trailergen.autodiff import Tensor
-from trailergen.layers import Linear, xavier_uniform
+from trailergen.layers import EncoderLayer, Linear, xavier_uniform
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -45,5 +45,25 @@ def test_linear_is_one_graph_node():
     lin = Linear(4, 3, np.random.default_rng(7))
     x = Tensor(np.ones((2, 5, 4)), requires_grad=True)
     out = lin(x)
-    assert len(out._parents) == 3
-    assert all(p is t for p, t in zip(out._parents, (x, lin.weight, lin.bias)))
+    assert out._node.parents == (x._node, lin.weight._node, lin.bias._node)
+
+
+def test_encoder_layer_graph_keeps_only_what_backward_reads():
+    d, ff = 64, 128  # the desk preset's widths, at the longest desk batch
+    rng = np.random.default_rng(8)
+    layer = EncoderLayer(d, 4, ff, rng)
+    x = Tensor(rng.standard_normal((8, 202, d)), requires_grad=True)
+    act = x.data.nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = layer(x)
+        graph = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert out.dtype == np.float32
+    # kept, [8, 202, d] each: q, k, v and the attention output, both layer
+    # norms' normed values and outputs, plus the [8, 202, ff] relu output.
+    # The wo and lin2 outputs, the two residual sums and the lin1
+    # pre-activation (4 * act + ff / d * act more) are freed in forward.
+    assert graph < (8 + ff // d) * act + act // 2
