@@ -910,10 +910,13 @@ def grad_check(f, tensors, h: float = 1e-5, tol: float = 1e-4) -> GradCheckRepor
 
     ``f`` must rebuild its forward pass on every call (it is re-evaluated with
     perturbed inputs).  All checked tensors must be float64; relative error is
-    ``|analytic - numeric| / max(1, |analytic|)`` per entry.
+    ``|analytic - numeric| / max(1, |analytic|)`` per entry, and a non-finite
+    one counts as ``inf``, a failure at any tolerance.
     """
     if not (1e-6 <= h <= 1e-4):
         raise ConfigurationError(f"step size h={h} outside [1e-6, 1e-4]")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigurationError(f"tolerance tol={tol} must be finite and > 0")
     tensors = list(tensors)
     names = [getattr(t, "name", "") or f"tensor{i}" for i, t in enumerate(tensors)]
     for t in tensors:
@@ -950,6 +953,8 @@ def grad_check(f, tensors, h: float = 1e-5, tol: float = 1e-4) -> GradCheckRepor
                 numeric = (up - down) / (2.0 * h)
                 ref = a.reshape(-1)[i]
                 rel = abs(ref - numeric) / max(1.0, abs(ref))
+                if not math.isfinite(rel):
+                    rel = math.inf  # NaN compares false with the tolerance
                 worst = max(worst, rel)
                 failed += rel > tol
             report.entries.append((name, worst, flat.size, failed))

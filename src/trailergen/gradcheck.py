@@ -1,6 +1,13 @@
 """Finite-difference verification suite covering every differentiable op,
 the composite layers, all three loss terms, and a small end-to-end model.
 
+Most checks are rows of a table: the shapes of the standard-normal leaves,
+the shape of a fixed random probe that makes the op scalar as
+``sum(op(...) * probe)`` (None for an op that is already scalar), the op,
+and for a layer the module, built from the stream before the leaves are
+drawn.  The checks that draw from another distribution or in another order
+keep a builder of their own.
+
 Each named check builds fresh float64 inputs from a stream seeded by its
 name, so adding or deleting a check leaves every other check's inputs as
 they were, and compares analytic gradients against central differences via
@@ -41,190 +48,34 @@ def _leaf(rng, *shape) -> Tensor:
     return Tensor(rng.standard_normal(shape), requires_grad=True)
 
 
-def _probe(rng, shape) -> np.ndarray:
-    return rng.standard_normal(shape)
-
-
 def _scalarize(out: Tensor, r: np.ndarray) -> Tensor:
     return ad.tensor_sum(ad.mul(out, r))
 
 
 # every builder takes a dedicated rng and returns (f, tensors_to_check);
 # f rebuilds the forward graph each call
-def _check_add(rng):
-    x, y, r = _leaf(rng, 3, 4), _leaf(rng, 3, 4), _probe(rng, (3, 4))
-    return lambda: _scalarize(ad.add(x, y), r), [x, y]
-
-
-def _check_add_broadcast(rng):
-    x, y, r = _leaf(rng, 3, 4), _leaf(rng, 4), _probe(rng, (3, 4))
-    return lambda: _scalarize(ad.add(x, y), r), [x, y]
-
-
-def _check_sub(rng):
-    x, y, r = _leaf(rng, 3, 4), _leaf(rng, 3, 4), _probe(rng, (3, 4))
-    return lambda: _scalarize(ad.sub(x, y), r), [x, y]
-
-
-def _check_mul(rng):
-    x, y, r = _leaf(rng, 3, 4), _leaf(rng, 3, 4), _probe(rng, (3, 4))
-    return lambda: _scalarize(ad.mul(x, y), r), [x, y]
-
-
-def _check_matmul(rng):
-    a, b, r = _leaf(rng, 3, 5), _leaf(rng, 5, 2), _probe(rng, (3, 2))
-    return lambda: _scalarize(ad.matmul(a, b), r), [a, b]
-
-
-def _check_matmul_batched(rng):
-    a, b, r = _leaf(rng, 2, 3, 5), _leaf(rng, 2, 5, 2), _probe(rng, (2, 3, 2))
-    return lambda: _scalarize(ad.matmul(a, b), r), [a, b]
-
-
-def _check_exp(rng):
-    x, r = _leaf(rng, 3, 4), _probe(rng, (3, 4))
-    return lambda: _scalarize(ad.exp(x), r), [x]
-
-
-def _check_sum(rng):
-    x = _leaf(rng, 3, 4)
-    return lambda: ad.tensor_sum(x), [x]
-
-
-def _check_sum_axis(rng):
-    x, r = _leaf(rng, 3, 4), _probe(rng, (4,))
-    return lambda: _scalarize(ad.tensor_sum(x, axis=0), r), [x]
-
-
-def _check_reshape(rng):
-    x, r = _leaf(rng, 3, 4), _probe(rng, (12,))
-    return lambda: _scalarize(ad.reshape(x, (12,)), r), [x]
-
-
-def _check_transpose(rng):
-    x, r = _leaf(rng, 3, 4), _probe(rng, (4, 3))
-    return lambda: _scalarize(ad.transpose(x, (1, 0)), r), [x]
-
-
-def _check_concat(rng):
-    a, b, r = _leaf(rng, 2, 4), _leaf(rng, 3, 4), _probe(rng, (5, 4))
-    return lambda: _scalarize(ad.concat([a, b], axis=0), r), [a, b]
-
-
-def _check_stack(rng):
-    a, b, r = _leaf(rng, 3, 4), _leaf(rng, 3, 4), _probe(rng, (2, 3, 4))
-    return lambda: _scalarize(ad.stack([a, b], axis=0), r), [a, b]
-
-
-def _check_index_slice(rng):
-    x, r = _leaf(rng, 4, 4), _probe(rng, (2, 4))
-    return lambda: _scalarize(x[1:3], r), [x]
-
-
-def _check_index_fancy(rng):
-    x, r = _leaf(rng, 5, 4), _probe(rng, (3, 4))
-    idx = np.array([0, 2, 2])  # repeated index exercises gradient accumulation
-    return lambda: _scalarize(x[idx], r), [x]
-
-
-def _check_sigmoid(rng):
-    x, r = _leaf(rng, 3, 4), _probe(rng, (3, 4))
-    return lambda: _scalarize(ad.sigmoid(x), r), [x]
-
-
-def _check_relu(rng):
-    x, r = _leaf(rng, 3, 4), _probe(rng, (3, 4))
-    return lambda: _scalarize(ad.relu(x), r), [x]
-
-
-def _check_softmax(rng):
-    x, r = _leaf(rng, 3, 4), _probe(rng, (3, 4))
-    return lambda: _scalarize(ad.softmax(x, axis=-1), r), [x]
-
-
-def _check_softmax_masked(rng):
-    x, r = _leaf(rng, 4, 4), _probe(rng, (4, 4))
-    m = ad.causal_mask(4)
-    return lambda: _scalarize(ad.softmax(x, axis=-1, mask=m), r), [x]
-
-
-def _check_log_softmax(rng):
-    x, r = _leaf(rng, 3, 4), _probe(rng, (3, 4))
-    return lambda: _scalarize(ad.log_softmax(x, axis=-1), r), [x]
+def _row(leaf_shapes, probe_shape, op, module=None):
+    """The builder of one table row: build ``module`` from the rng when the
+    row names one, draw a standard-normal leaf per shape, then draw a probe
+    unless ``probe_shape`` is None (the op is already scalar).  ``op`` takes
+    the module, if any, and the leaves; the leaves and then the module's
+    parameters are checked."""
+    def build(rng):
+        built = [module(rng)] if module else []
+        leaves = [_leaf(rng, *shape) for shape in leaf_shapes]
+        tensors = leaves + [p for m in built for p in m.parameters()]
+        if probe_shape is None:
+            return lambda: op(*built, *leaves), tensors
+        r = rng.standard_normal(probe_shape)
+        return lambda: _scalarize(op(*built, *leaves), r), tensors
+    return build
 
 
 def _check_layer_norm(rng):
-    x, r = _leaf(rng, 3, 4), _probe(rng, (3, 4))
+    x, r = _leaf(rng, 3, 4), rng.standard_normal((3, 4))
     gamma = Tensor(rng.uniform(0.5, 1.5, size=4), requires_grad=True)
     beta = _leaf(rng, 4)
     return lambda: _scalarize(ad.layer_norm(x, gamma, beta), r), [x, gamma, beta]
-
-
-def _check_attention_core(rng):
-    q, k, v = _leaf(rng, 3, 4), _leaf(rng, 5, 4), _leaf(rng, 5, 4)
-    r = _probe(rng, (3, 4))
-    return lambda: _scalarize(ad.multi_head_attention(q, k, v, 2), r), [q, k, v]
-
-
-def _check_attention_core_masked(rng):
-    q, k, v = _leaf(rng, 4, 4), _leaf(rng, 4, 4), _leaf(rng, 4, 4)
-    r = _probe(rng, (4, 4))
-    m = ad.causal_mask(4)
-    return (lambda: _scalarize(ad.multi_head_attention(q, k, v, 2, mask=m), r),
-            [q, k, v])
-
-
-def _check_attention_core_batched_masked(rng):
-    """[B, L, d] inputs: 4-D head layout, causal mask combined with key padding."""
-    q, k, v = _leaf(rng, 2, 4, 4), _leaf(rng, 2, 4, 4), _leaf(rng, 2, 4, 4)
-    r = _probe(rng, (2, 4, 4))
-    m = ad.causal_mask(4)[None, None] & ad.padding_mask([4, 2], 4)[:, None, None, :]
-    return (lambda: _scalarize(ad.multi_head_attention(q, k, v, 2, mask=m), r),
-            [q, k, v])
-
-
-def _check_linear(rng):
-    lin = Linear(4, 3, rng)
-    x, r = _leaf(rng, 2, 4), _probe(rng, (2, 3))
-    return lambda: _scalarize(lin(x), r), [x, lin.weight, lin.bias]
-
-
-def _check_linear_batched(rng):
-    """A batched linear map, the one matmul node with a bias that ``Linear`` makes."""
-    x, w, b = _leaf(rng, 2, 3, 5), _leaf(rng, 5, 4), _leaf(rng, 4)
-    r = _probe(rng, (2, 3, 4))
-    return lambda: _scalarize(ad.matmul(x, w, b), r), [x, w, b]
-
-
-def _check_feed_forward(rng):
-    ff = FeedForward(4, 6, rng)
-    x, r = _leaf(rng, 2, 4), _probe(rng, (2, 4))
-    return lambda: _scalarize(ff(x), r), [x] + ff.parameters()
-
-
-def _check_layer_norm_module(rng):
-    ln = LayerNorm(4)
-    x, r = _leaf(rng, 2, 4), _probe(rng, (2, 4))
-    return lambda: _scalarize(ln(x), r), [x] + ln.parameters()
-
-
-def _check_attention_layer(rng):
-    mha = MultiHeadAttention(4, 2, rng)
-    x, r = _leaf(rng, 3, 4), _probe(rng, (3, 4))
-    return lambda: _scalarize(mha(x, x, x), r), [x] + mha.parameters()
-
-
-def _check_encoder_layer(rng):
-    enc = EncoderLayer(4, 2, 8, rng)
-    x, r = _leaf(rng, 3, 4), _probe(rng, (3, 4))
-    return lambda: _scalarize(enc(x), r), [x] + enc.parameters()
-
-
-def _check_decoder_layer(rng):
-    dec = DecoderLayer(4, 2, 8, rng)
-    x, mem, r = _leaf(rng, 3, 4), _leaf(rng, 5, 4), _probe(rng, (3, 4))
-    m = ad.causal_mask(3)
-    return lambda: _scalarize(dec(x, mem, m, None), r), [x, mem] + dec.parameters()
 
 
 # the loss checks run on a padded batch of two pairs, the second one slot short
@@ -234,16 +85,6 @@ _LOSS_VALID = ad.padding_mask([3, 2], 3)
 def _check_trailerness_loss(rng):
     s, gt = _leaf(rng, 2, 3), rng.random((2, 3))
     return lambda: batched_trailerness_loss(ad.sigmoid(s), gt, _LOSS_VALID), [s]
-
-
-def _check_reconstruction_loss(rng):
-    pred, targets = _leaf(rng, 2, 3, 4), _leaf(rng, 2, 3, 4)
-    return lambda: batched_reconstruction_loss(pred, targets, _LOSS_VALID), [pred, targets]
-
-
-def _check_kl_loss(rng):
-    pred, targets = _leaf(rng, 2, 3, 4), _leaf(rng, 2, 3, 4)
-    return lambda: batched_kl_loss(pred, targets, _LOSS_VALID), [pred, targets]
 
 
 def _check_total_loss(rng):
@@ -284,42 +125,66 @@ def _check_model_total_loss(rng):
     return lambda: batch_loss(model, batch)[0], model.parameters()
 
 
+_CAUSAL = ad.causal_mask(4)
+# [B, L, d] attention inputs: 4-D head layout, causal mask combined with key padding
+_CAUSAL_PADDED = _CAUSAL[None, None] & ad.padding_mask([4, 2], 4)[:, None, None, :]
+_FANCY = np.array([0, 2, 2])  # repeated index exercises gradient accumulation
+
+# name: builder; most are rows of (leaf shapes, probe shape, op[, module]),
+# which draw the module, then the leaves in order, then the probe.  Each op
+# looks its function up at call time, so a wrapper put on an autodiff op
+# (a counter, a tracer) sees the suite's calls.
 CHECKS = {
-    "add": _check_add,
-    "add_broadcast": _check_add_broadcast,
-    "sub": _check_sub,
-    "mul": _check_mul,
-    "matmul": _check_matmul,
-    "matmul_batched": _check_matmul_batched,
-    "exp": _check_exp,
-    "sum": _check_sum,
-    "sum_axis": _check_sum_axis,
-    "reshape": _check_reshape,
-    "transpose": _check_transpose,
-    "concat": _check_concat,
-    "stack": _check_stack,
-    "index_slice": _check_index_slice,
-    "index_fancy": _check_index_fancy,
-    "sigmoid": _check_sigmoid,
-    "relu": _check_relu,
-    "softmax": _check_softmax,
-    "softmax_masked": _check_softmax_masked,
-    "log_softmax": _check_log_softmax,
+    "add": _row([(3, 4), (3, 4)], (3, 4), lambda x, y: ad.add(x, y)),
+    "add_broadcast": _row([(3, 4), (4,)], (3, 4), lambda x, y: ad.add(x, y)),
+    "sub": _row([(3, 4), (3, 4)], (3, 4), lambda x, y: ad.sub(x, y)),
+    "mul": _row([(3, 4), (3, 4)], (3, 4), lambda x, y: ad.mul(x, y)),
+    "matmul": _row([(3, 5), (5, 2)], (3, 2), lambda a, b: ad.matmul(a, b)),
+    "matmul_batched": _row([(2, 3, 5), (2, 5, 2)], (2, 3, 2), lambda a, b: ad.matmul(a, b)),
+    "exp": _row([(3, 4)], (3, 4), lambda x: ad.exp(x)),
+    "sum": _row([(3, 4)], None, lambda x: ad.tensor_sum(x)),
+    "sum_axis": _row([(3, 4)], (4,), lambda x: ad.tensor_sum(x, axis=0)),
+    "reshape": _row([(3, 4)], (12,), lambda x: ad.reshape(x, (12,))),
+    "transpose": _row([(3, 4)], (4, 3), lambda x: ad.transpose(x, (1, 0))),
+    "concat": _row([(2, 4), (3, 4)], (5, 4), lambda a, b: ad.concat([a, b], axis=0)),
+    "stack": _row([(3, 4), (3, 4)], (2, 3, 4), lambda a, b: ad.stack([a, b], axis=0)),
+    "index_slice": _row([(4, 4)], (2, 4), lambda x: x[1:3]),
+    "index_fancy": _row([(5, 4)], (3, 4), lambda x: x[_FANCY]),
+    "sigmoid": _row([(3, 4)], (3, 4), lambda x: ad.sigmoid(x)),
+    "relu": _row([(3, 4)], (3, 4), lambda x: ad.relu(x)),
+    "softmax": _row([(3, 4)], (3, 4), lambda x: ad.softmax(x, axis=-1)),
+    "softmax_masked": _row([(4, 4)], (4, 4), lambda x: ad.softmax(x, axis=-1, mask=_CAUSAL)),
+    "log_softmax": _row([(3, 4)], (3, 4), lambda x: ad.log_softmax(x, axis=-1)),
     "layer_norm": _check_layer_norm,
-    "attention_core": _check_attention_core,
-    "attention_core_masked": _check_attention_core_masked,
-    "attention_core_batched_masked": _check_attention_core_batched_masked,
-    "linear": _check_linear,
-    "linear_batched": _check_linear_batched,
-    "feed_forward": _check_feed_forward,
-    "layer_norm_module": _check_layer_norm_module,
-    "attention_layer": _check_attention_layer,
+    "attention_core": _row([(3, 4), (5, 4), (5, 4)], (3, 4),
+                           lambda q, k, v: ad.multi_head_attention(q, k, v, 2)),
+    "attention_core_masked": _row(
+        [(4, 4)] * 3, (4, 4), lambda q, k, v: ad.multi_head_attention(q, k, v, 2, mask=_CAUSAL)),
+    "attention_core_batched_masked": _row(
+        [(2, 4, 4)] * 3, (2, 4, 4),
+        lambda q, k, v: ad.multi_head_attention(q, k, v, 2, mask=_CAUSAL_PADDED)),
+    "linear": _row([(2, 4)], (2, 3), lambda lin, x: lin(x),
+                   module=lambda rng: Linear(4, 3, rng)),
+    # a batched linear map, the one matmul node with a bias that Linear makes
+    "linear_batched": _row([(2, 3, 5), (5, 4), (4,)], (2, 3, 4),
+                           lambda x, w, b: ad.matmul(x, w, b)),
+    "feed_forward": _row([(2, 4)], (2, 4), lambda ff, x: ff(x),
+                         module=lambda rng: FeedForward(4, 6, rng)),
+    "layer_norm_module": _row([(2, 4)], (2, 4), lambda ln, x: ln(x),
+                              module=lambda rng: LayerNorm(4)),
+    "attention_layer": _row([(3, 4)], (3, 4), lambda mha, x: mha(x, x, x),
+                            module=lambda rng: MultiHeadAttention(4, 2, rng)),
     # draws are keyed by name, so these keep the "_post" suffix and their numbers
-    "encoder_layer_post": _check_encoder_layer,
-    "decoder_layer_post": _check_decoder_layer,
+    "encoder_layer_post": _row([(3, 4)], (3, 4), lambda enc, x: enc(x),
+                               module=lambda rng: EncoderLayer(4, 2, 8, rng)),
+    "decoder_layer_post": _row([(3, 4), (5, 4)], (3, 4),
+                               lambda dec, x, mem: dec(x, mem, ad.causal_mask(3), None),
+                               module=lambda rng: DecoderLayer(4, 2, 8, rng)),
     "trailerness_loss": _check_trailerness_loss,
-    "reconstruction_loss": _check_reconstruction_loss,
-    "kl_loss": _check_kl_loss,
+    "reconstruction_loss": _row([(2, 3, 4)] * 2, None, lambda pred, targets:
+                                batched_reconstruction_loss(pred, targets, _LOSS_VALID)),
+    "kl_loss": _row([(2, 3, 4)] * 2, None,
+                    lambda pred, targets: batched_kl_loss(pred, targets, _LOSS_VALID)),
     "total_loss": _check_total_loss,
 }
 

@@ -82,8 +82,15 @@ class TrainConfig:
         return self
 
     def resolved(self, num_pairs: int) -> "TrainConfig":
-        """Fill in total/warmup step counts for a concrete dataset size."""
+        """Fill in total/warmup step counts for a concrete dataset size.
+
+        Training runs whole epochs and checkpoints at their ends, so an
+        explicit ``total_steps`` must be a whole number of epochs."""
         steps_per_epoch = max(1, math.ceil(num_pairs / self.batch_size))
+        if self.total_steps % steps_per_epoch:
+            raise ConfigurationError(
+                f"total_steps {self.total_steps} is not a whole number of epochs of "
+                f"{steps_per_epoch} steps ({num_pairs} pairs at batch_size {self.batch_size})")
         total = self.total_steps if self.total_steps > 0 else self.epochs * steps_per_epoch
         warmup = self.warmup_steps if self.warmup_steps >= 0 else int(self.warmup_frac * total)
         if total > 0 and warmup >= total:

@@ -1,6 +1,7 @@
 """Tensor engine tests: forward values against hand computations, backward
 against finite differences, mask semantics, and the error contract."""
 
+import hashlib
 import math
 import tracemalloc
 import weakref
@@ -450,6 +451,31 @@ def test_grad_check_detects_wrong_gradient():
     assert not report.ok
 
 
+def test_grad_check_fails_nan_gradient():
+    """A NaN relative error compares false with any tolerance, yet must fail."""
+    x = t64([0.7, -0.3], requires_grad=True)
+
+    def nan_square():
+        out = ad.tensor_sum(ad.mul(x, x))
+
+        def backward(g):
+            x._node.accumulate(np.full(2, np.nan))
+
+        return ad._make(out.data, (x,), backward, "nan_square")
+
+    report = ad.grad_check(nan_square, [x])
+    assert not report.ok
+    assert report.entries[0][1:] == (math.inf, 2, 2)
+    assert report.max_rel_error == math.inf
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-4])
+def test_grad_check_tolerance_must_be_finite_and_positive(tol):
+    x = t64([1.0], requires_grad=True)
+    with pytest.raises(ConfigurationError):
+        ad.grad_check(lambda: ad.tensor_sum(x), [x], tol=tol)
+
+
 def test_gradcheck_suite_inputs_do_not_depend_on_other_checks(monkeypatch):
     """Each check's draws are keyed by its name: deleting one check leaves the
     inputs of every other check, the model check included, unchanged."""
@@ -481,6 +507,117 @@ def test_gradcheck_suite_inputs_do_not_depend_on_other_checks(monkeypatch):
         assert len(arrays) == len(full[key])
         for a, b in zip(arrays, full[key]):
             np.testing.assert_array_equal(a, b)
+
+
+# the module docstring of gradcheck claims the suite covers every differentiable op
+DIFFERENTIABLE_OPS = ("add", "sub", "mul", "exp", "matmul", "tensor_sum", "reshape",
+                      "transpose", "concat", "stack", "sigmoid", "relu", "softmax",
+                      "log_softmax", "layer_norm", "multi_head_attention")
+
+
+def test_gradcheck_suite_calls_every_differentiable_op(monkeypatch):
+    from trailergen import gradcheck
+
+    calls = dict.fromkeys(DIFFERENTIABLE_OPS + ("__getitem__",), 0)
+
+    def counted(name, op):
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return op(*args, **kwargs)
+        return counting
+
+    for name in DIFFERENTIABLE_OPS:
+        monkeypatch.setattr(ad, name, counted(name, getattr(ad, name)))
+    monkeypatch.setattr(Tensor, "__getitem__", counted("__getitem__", Tensor.__getitem__))
+    with ad.precision(np.float64):
+        for builder in gradcheck.CHECKS.values():
+            f, _ = builder(np.random.default_rng(0))
+            f()
+    assert [name for name, count in calls.items() if count == 0] == []
+
+
+class _RecordingRng:
+    """A generator that keeps every array it hands out, in draw order."""
+
+    def __init__(self, rng, draws):
+        self._rng, self._draws = rng, draws
+
+    def __getattr__(self, method):
+        def draw(*args, **kwargs):
+            value = getattr(self._rng, method)(*args, **kwargs)
+            self._draws.append(np.asarray(value))
+            return value
+        return draw
+
+
+# SHA-256 of each check's draws, in order, then of the tensors it checks, at
+# seeds 0 and 1: a check that draws in another order or checks other tensors
+# changes its digest
+GRADCHECK_INPUT_DIGESTS = dict(line.split() for line in """
+    add be69643a0d9317367e7f609300108eceeccd7eb8b55db7bf5b93a8ddd88051e9
+    add_broadcast e14f4edd8384b37e6ef5f6f4908d485bd329b58826576f50da03c42b2979d537
+    sub 19dd9a80d385946c356836854e04dd87ca51b4011bc6f89fb421f7d4aa6491d5
+    mul 4c1c1db1c5d9b6c59620d14dd5060ac7b18a89ef46da0f520f9cd2b14efc2ee8
+    matmul 0bca1ca62fb7ce7ffb23ae16cce4f68381d0222cac913605761a69324021d349
+    matmul_batched 0ea5dc56e3a460ddb5eb7d65c2ac08a08e679ed3932fa703eb0885892d42d0d3
+    exp a500f6632e0bcea2f6dbbc947639d4563466148eabc68726231262e9f84a1913
+    sum 07c59e346f998f0632bc0e40d10e2f258a6072d8594a6dc0dcf2d2cfa17f9c8b
+    sum_axis cf79ef8065ba1e4ab499ced97752c40951fb96f7a0411f494b3a6c922296c4ff
+    reshape 62496b2668d3a36c6acdccecef8613d5967d5d49fe6377a6c2018a6387eacfa9
+    transpose 1d68eae96f75ad918e9735c1203212020623b01fcb8426c32d70cb6492fc8b53
+    concat 11cce0f8a371dbc622d66b3239d468cd0111e901df882dc6bcd6cb4a589daba3
+    stack 7d5a5251c75845ba61c7142f465c49e73434e3f35fc2da5fc49d2fbf30841970
+    index_slice ef6e98d583329d994acc2efa9cf4ca597158c163d0403f4e05b675e2f416035b
+    index_fancy 4b91c0c0e7c599ddd9a4872d99f86414bb94d5126633806872793ab98dc678d9
+    sigmoid fa7655be4389120087343fd3e01d050fd9476377e866553d0f2ce0ae1a914b98
+    relu 6667efbf2260f081da64702af67d06ba6c481a05ea54f916e61e4c8c450039d1
+    softmax bf8debfbb977b86b27689455efdfadf6826e0011954f324a6bfe77bab05bcd64
+    softmax_masked 129bc18653519c1a3862c034e0bc2f6e8d504eaef324cd08c4a1dd428437c4e4
+    log_softmax 86966032687bbbb959f7bdbae154f817a598841893e6683854a3803d56e9c4cb
+    layer_norm da59e243a7593bc2668ac4a11a3ecf4982a3279e2783aaf42d0e545262c73b0a
+    attention_core 4eec949c2da7c0fa5ce7547d315d5c9ea89f48a1f08ac9f67d269ae4a452bf86
+    attention_core_masked 1c638d6a12971de1ecb2df7f58fd76c199aa88913e80023ec28b0e4894109569
+    attention_core_batched_masked e9f3837b844768e14011834829a4d2b64119c2f4c3338b3b518dba69a891d3b9
+    linear adfaf310bb8fde6c908a7ec081d6cae3feaf6520cf6669da1301866684e73c1b
+    linear_batched b2e5b0ff5e30994c1bd46ee1ea63030d1f0ab7e7dfe707399938af0df3b68315
+    feed_forward ea6cbe5478ef480033a5eccdf421d0d4b53e5e0971530442db4c0e75455a4cdc
+    layer_norm_module 01a6dfb34a204a6bb342c76f574e3c6f308435cf20cff5a9592e3bcad8cbd44a
+    attention_layer 0d6af2e1b079e8a5e58d064a43c320ff44cb15886ca8243d0b5fde2ef588eff6
+    encoder_layer_post 6c0d6dc86864c432bf9f7a9db11a6a6e34c58464eaad450e60626983fabc1fcd
+    decoder_layer_post 5f034838f9e1b0def6cd588ed91d2a64b6e527c31a7e9aaaa90117b1490babc9
+    trailerness_loss 1c6a95682e2bbccd80510dfe88ae0249b1823542464b926c9f826a4c96a5136e
+    reconstruction_loss 19fd63137448282f7475252aef6fbd1dc106e85d84894c9fadcd59429831a085
+    kl_loss e0e37a342f3655aa2370e61e24c60b83347b721d0be23adaed83f4d2475a4db4
+    total_loss 9fb90c2c5864c83487ef82c548865d924597f20236429920816ef373b75d5c94
+    model_total_loss 59b69b6be029b4327c7cab69a81b33fae563da3bc5d521ca4e9446793e9920cc
+""".strip().splitlines())
+
+
+def test_gradcheck_suite_inputs_are_pinned(monkeypatch):
+    from trailergen import gradcheck
+
+    original = gradcheck._build_away_from_kinks
+    hashes = {}
+
+    def recording(builder, name, seed):
+        draws = []
+
+        def drawing(rng):
+            draws.clear()  # the suite checks the last redraw's inputs
+            return builder(_RecordingRng(rng, draws))
+
+        f, tensors = original(drawing, name, seed)
+        digest = hashes.setdefault(name, hashlib.sha256())
+        for array in draws + [t.data for t in tensors]:
+            digest.update(f"{array.dtype}{array.shape}".encode())
+            digest.update(np.ascontiguousarray(array).tobytes())
+        return f, tensors
+
+    monkeypatch.setattr(gradcheck, "_build_away_from_kinks", recording)
+    # the finite differences are not under test here
+    monkeypatch.setattr(ad, "grad_check", lambda *args, **kwargs: ad.GradCheckReport())
+    gradcheck.gradcheck_suite(seeds=2, model_seeds=2)
+    assert {name: h.hexdigest() for name, h in hashes.items()} == GRADCHECK_INPUT_DIGESTS
 
 
 # ---------------------------------------------------------------------------

@@ -253,6 +253,18 @@ class TestTrain:
         assert lines[0].startswith("error: ") and flag[2:] in lines[0]
         assert not (out / "model.ckpt").exists()
 
+    def test_total_steps_not_whole_epochs_exit_2(self, data_dir, tmp_path, capsys):
+        # six train pairs at batch 4 make two steps an epoch, and training
+        # runs whole epochs: one step would run none
+        out = tmp_path / "run"
+        rc = main(["train", "--data", str(data_dir), "--out", str(out),
+                   "--set", "train.batch_size=4", "--set", "train.total_steps=1"] + TINY_MODEL)
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and "total_steps 1" in lines[0]
+        assert not (out / "model.ckpt").exists()
+
     def test_flags_override_config_entries(self, data_dir, tmp_path):
         out = tmp_path / "flags"
         rc = main(["train", "--data", str(data_dir), "--out", str(out),
@@ -612,3 +624,9 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert rc == 0
         assert "rel" in out.lower()  # reports max relative error per op
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-4"])
+    def test_tolerance_not_finite_and_positive_exits_2(self, capsys, tol):
+        rc = main(["gradcheck", "--seeds", "1", "--model-seeds", "1", f"--tol={tol}"])
+        assert rc == 2
+        assert "tol" in capsys.readouterr().err

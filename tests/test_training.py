@@ -383,6 +383,15 @@ class TestTrainConfig:
         assert cfg.total_steps == 100
         assert cfg.warmup_steps == 10
 
+    @pytest.mark.parametrize("total_steps", [1, 3, 5])
+    def test_resolved_rejects_steps_that_are_not_whole_epochs(self, total_steps):
+        # 16 pairs at batch 8 are 2 steps an epoch, and training runs whole
+        # epochs, so 1, 3 or 5 steps would run 0, 2 or 4
+        with pytest.raises(ConfigurationError, match="epochs of 2 steps"):
+            TrainConfig(total_steps=total_steps, batch_size=8).resolved(16)
+        aligned = TrainConfig(total_steps=total_steps + 1, batch_size=8).resolved(16)
+        assert aligned.total_steps == total_steps + 1
+
     def test_resolved_rejects_warmup_at_or_past_total(self):
         with pytest.raises(ConfigurationError):
             TrainConfig(total_steps=10, warmup_steps=10).resolved(5)
@@ -459,6 +468,11 @@ class TestTrain:
         cfg = TrainConfig(epochs=2, batch_size=2, lr_peak=1e-3, seed=4)
         result = train(pairs, cfg, SLIM)
         assert len(result.history) == 2 * 2  # ceil(3/2) steps x 2 epochs
+
+    def test_explicit_total_steps_all_run(self):
+        cfg = TrainConfig(total_steps=4, batch_size=2, lr_peak=1e-3, seed=4)
+        result = train(tiny_pairs(3), cfg, SLIM)  # ceil(3/2) = 2 steps an epoch
+        assert len(result.history) == result.config.total_steps == 4
         assert [h["step"] for h in result.history] == [1, 2, 3, 4]
         assert set(result.history[0]) == {"step", "lr", "l_t", "l_rec",
                                           "l_kl", "total", "grad_norm"}
