@@ -130,10 +130,8 @@ _CAUSAL = ad.causal_mask(4)
 _CAUSAL_PADDED = _CAUSAL[None, None] & ad.padding_mask([4, 2], 4)[:, None, None, :]
 _FANCY = np.array([0, 2, 2])  # repeated index exercises gradient accumulation
 
-# name: builder; most are rows of (leaf shapes, probe shape, op[, module]),
-# which draw the module, then the leaves in order, then the probe.  Each op
-# looks its function up at call time, so a wrapper put on an autodiff op
-# (a counter, a tracer) sees the suite's calls.
+# name: builder.  Each row's op looks its function up at call time, so a
+# wrapper put on an autodiff op (a counter, a tracer) sees the suite's calls.
 CHECKS = {
     "add": _row([(3, 4), (3, 4)], (3, 4), lambda x, y: ad.add(x, y)),
     "add_broadcast": _row([(3, 4), (4,)], (3, 4), lambda x, y: ad.add(x, y)),

@@ -66,6 +66,10 @@ class TrainConfig:
             raise ConfigurationError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
+        if self.total_steps < 0:
+            raise ConfigurationError(f"total_steps must be >= 0, got {self.total_steps}")
+        if self.warmup_steps < -1:
+            raise ConfigurationError(f"warmup_steps must be >= -1, got {self.warmup_steps}")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if len(self.loss_weights) != 3 or any(w < 0 for w in self.loss_weights):

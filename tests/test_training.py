@@ -365,6 +365,9 @@ class TestTrainConfig:
         {"lr_peak": -1e-4},
         {"batch_size": 0},
         {"epochs": -1},
+        {"total_steps": -1},
+        {"total_steps": -2},
+        {"warmup_steps": -2},
         {"loss_weights": (1.0, 1.0)},
         {"loss_weights": (1.0, -1.0, 1.0)},
         {"warmup_frac": 1.0},
@@ -468,16 +471,17 @@ class TestTrain:
         cfg = TrainConfig(epochs=2, batch_size=2, lr_peak=1e-3, seed=4)
         result = train(pairs, cfg, SLIM)
         assert len(result.history) == 2 * 2  # ceil(3/2) steps x 2 epochs
+        assert [h["step"] for h in result.history] == [1, 2, 3, 4]
+        assert set(result.history[0]) == {"step", "lr", "l_t", "l_rec",
+                                          "l_kl", "total", "grad_norm"}
+        assert all(math.isfinite(h["grad_norm"]) and h["grad_norm"] > 0.0
+                   for h in result.history)
 
     def test_explicit_total_steps_all_run(self):
         cfg = TrainConfig(total_steps=4, batch_size=2, lr_peak=1e-3, seed=4)
         result = train(tiny_pairs(3), cfg, SLIM)  # ceil(3/2) = 2 steps an epoch
         assert len(result.history) == result.config.total_steps == 4
         assert [h["step"] for h in result.history] == [1, 2, 3, 4]
-        assert set(result.history[0]) == {"step", "lr", "l_t", "l_rec",
-                                          "l_kl", "total", "grad_norm"}
-        assert all(math.isfinite(h["grad_norm"]) and h["grad_norm"] > 0.0
-                   for h in result.history)
 
     def test_single_pair_overfits(self):
         # the loss should collapse by well over an order of magnitude
