@@ -219,8 +219,6 @@ def cmd_train(args) -> int:
         train_values["seed"] = args.seed
     if args.epochs is not None:
         train_values["epochs"] = args.epochs
-    if args.use_conditions:
-        train_values["use_conditions"] = True
     train_cfg = TrainConfig.from_dict(train_values)
 
     data_dir = Path(args.data)
@@ -261,7 +259,8 @@ def cmd_train(args) -> int:
                        {"model": result.model.cfg.to_dict(), "train": result.config.to_dict()},
                        train_cfg.seed, input_hashes, outputs, started, timings)
     final = result.history[-1]["total"] if result.history else float("nan")
-    print(f"trained {result.config.total_steps} steps; final total loss {final:.6f}; "
+    total_steps = train_cfg.epochs * train_cfg.steps_per_epoch(len(examples))
+    print(f"trained {total_steps} steps; final total loss {final:.6f}; "
           f"checkpoint at {result.checkpoint_path}")
     return EXIT_OK
 

@@ -80,6 +80,8 @@ class TrailerModel(Module):
         arr = as_embedding_array(embeddings)
         if arr.ndim != 2 or arr.shape[1] != self.cfg.d_model:
             raise ShapeError(f"expected [n, {self.cfg.d_model}] shots, got {arr.shape}")
+        if arr.shape[0] < 1:
+            raise ShapeError("every movie needs at least one shot")
         d = self.cfg.d_model
         return ad.concat(
             [ad.reshape(self.sos, (1, d)), Tensor(arr), ad.reshape(self.eos, (1, d))], axis=0)
@@ -126,6 +128,10 @@ class TrailerModel(Module):
         if any(a.ndim != 2 for a in arrays):
             raise ShapeError(f"conditions must be [Lc, d] rows, got shapes "
                              f"{[a.shape for a in arrays]}")
+        for a in arrays:
+            if a.shape[1] != self.cfg.d_model:
+                raise ShapeError(f"condition width {a.shape[1]} does not match "
+                                 f"memory width {self.cfg.d_model}")
         cond_lengths = np.array([a.shape[0] for a in arrays], dtype=np.int64)
         if np.all(cond_lengths == 0):
             return enc.memory, enc.valid
@@ -134,9 +140,6 @@ class TrailerModel(Module):
         full = int(cond_lengths.max())
         cond = _pad_stack([Tensor(arr) for arr in arrays], full)
         cond_valid = ad.padding_mask(cond_lengths, full)
-        if cond.shape[-1] != self.cfg.d_model:
-            raise ShapeError(f"condition width {cond.shape[-1]} does not match "
-                             f"memory width {self.cfg.d_model}")
         return (ad.concat([enc.memory, cond], axis=-2),
                 np.concatenate([enc.valid, cond_valid], axis=1))
 

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -39,14 +39,16 @@ _BUCKET_WINDOW = 8
 
 # removed switch -> the value a checkpoint written before its removal holds
 RETIRED_TRAIN_KEYS = {"normalize_by_length": False}
+# keys older checkpoints store that a run now derives (its step counts from
+# epochs and warmup_frac, its conditioning from the model); nothing read
+# them, so loading drops them
+DERIVED_TRAIN_KEYS = ("total_steps", "warmup_steps", "use_conditions")
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     lr_peak: float = 1e-4
-    warmup_steps: int = -1        # -1: derive as warmup_frac of total_steps
-    warmup_frac: float = 0.05
-    total_steps: int = 0          # 0: derive from epochs * steps_per_epoch
+    warmup_frac: float = 0.05     # share of the run's steps spent ramping up
     batch_size: int = 8
     epochs: int = 200
     weight_decay: float = 0.01
@@ -57,7 +59,6 @@ class TrainConfig:
     seed: int = 0
     loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
     checkpoint_every: int = 0     # epochs between mid-run checkpoints; 0 = final only
-    use_conditions: bool = False  # feed stored condition sequences during training
 
     def validate(self) -> "TrainConfig":
         if self.lr_peak <= 0:
@@ -66,10 +67,6 @@ class TrainConfig:
             raise ConfigurationError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.total_steps < 0:
-            raise ConfigurationError(f"total_steps must be >= 0, got {self.total_steps}")
-        if self.warmup_steps < -1:
-            raise ConfigurationError(f"warmup_steps must be >= -1, got {self.warmup_steps}")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if len(self.loss_weights) != 3 or any(w < 0 for w in self.loss_weights):
@@ -85,21 +82,8 @@ class TrainConfig:
             raise ConfigurationError(f"weight_decay must be >= 0, got {self.weight_decay}")
         return self
 
-    def resolved(self, num_pairs: int) -> "TrainConfig":
-        """Fill in total/warmup step counts for a concrete dataset size.
-
-        Training runs whole epochs and checkpoints at their ends, so an
-        explicit ``total_steps`` must be a whole number of epochs."""
-        steps_per_epoch = max(1, math.ceil(num_pairs / self.batch_size))
-        if self.total_steps % steps_per_epoch:
-            raise ConfigurationError(
-                f"total_steps {self.total_steps} is not a whole number of epochs of "
-                f"{steps_per_epoch} steps ({num_pairs} pairs at batch_size {self.batch_size})")
-        total = self.total_steps if self.total_steps > 0 else self.epochs * steps_per_epoch
-        warmup = self.warmup_steps if self.warmup_steps >= 0 else int(self.warmup_frac * total)
-        if total > 0 and warmup >= total:
-            raise ConfigurationError(f"warmup_steps {warmup} must be < total_steps {total}")
-        return replace(self, total_steps=total, warmup_steps=warmup)
+    def steps_per_epoch(self, num_pairs: int) -> int:
+        return max(1, math.ceil(num_pairs / self.batch_size))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -109,17 +93,14 @@ class TrainConfig:
         return config_from_dict(cls, values, "train", RETIRED_TRAIN_KEYS).validate()
 
 
-def lr_at_step(step: int, cfg: TrainConfig) -> float:
-    """Linear ramp 0 -> lr_peak over the warmup, then cosine decay to 0."""
-    total, warmup = cfg.total_steps, cfg.warmup_steps
-    if total <= 0:
-        raise ConfigurationError("lr_at_step needs a resolved config (total_steps > 0)")
+def lr_at_step(step: int, cfg: TrainConfig, total: int) -> float:
+    """Linear ramp 0 -> lr_peak over the first ``warmup_frac`` of ``total``
+    steps, then cosine decay to 0."""
     if not 0 <= step <= total:
         raise ValueError(f"step {step} outside [0, {total}]")
+    warmup = int(cfg.warmup_frac * total)
     if warmup > 0 and step < warmup:
         return cfg.lr_peak * step / warmup
-    if total == warmup:
-        return cfg.lr_peak
     progress = (step - warmup) / (total - warmup)
     return cfg.lr_peak * 0.5 * (1.0 + math.cos(math.pi * progress))
 
@@ -190,7 +171,7 @@ def pad_batch(examples: list[PairExample], gt_cache: dict | None = None,
     conditions = None
     if use_conditions:
         if any(ex.condition is None for ex in examples):
-            raise ConfigurationError("use_conditions requires a condition per pair")
+            raise ConfigurationError("a conditioned model needs a condition sequence per pair")
         conditions = [ex.condition.embeddings for ex in examples]
     lengths = np.array([m.shape[0] + 2 for m in movies], dtype=np.int64)
     full = int(lengths.max())
@@ -285,14 +266,16 @@ def train(examples: list[PairExample], cfg: TrainConfig, model_cfg: ModelConfig,
     loss the last epoch-boundary checkpoint is preserved, the last finite
     parameters go to ``model.rescue.ckpt``, and ``TrainingDiverged`` is raised.
     A resumed run trains the restored model and saves that model's config;
-    ``model_cfg`` then only has to be valid.
+    ``model_cfg`` then only has to be valid.  The run is ``cfg.epochs``
+    epochs long, and each pair's condition rows are fed exactly when the
+    model is conditioned.
     """
     if not examples:
         raise ValueError("training needs at least one pair")
-    cfg = cfg.validate().resolved(len(examples))
+    cfg = cfg.validate()
     model_cfg = model_cfg.validate()
-    steps_per_epoch = max(1, math.ceil(len(examples) / cfg.batch_size))
-    epochs_total = cfg.total_steps // steps_per_epoch
+    steps_per_epoch = cfg.steps_per_epoch(len(examples))
+    total_steps = cfg.epochs * steps_per_epoch
 
     start_epoch = 0
     if resume_from is not None:
@@ -307,9 +290,7 @@ def train(examples: list[PairExample], cfg: TrainConfig, model_cfg: ModelConfig,
         model = TrailerModel(model_cfg, seed=cfg.seed)
         optimizer = AdamW(model.parameters(), cfg.beta1, cfg.beta2, cfg.eps,
                           cfg.weight_decay)
-    if cfg.use_conditions and model.cfg.condition_mode == "none":
-        raise ConfigurationError("train config key 'use_conditions' needs model config key "
-                                 "'condition_mode' set to 'encoded', got 'none'")
+    use_conditions = model.cfg.condition_mode == "encoded"
 
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
@@ -334,10 +315,10 @@ def train(examples: list[PairExample], cfg: TrainConfig, model_cfg: ModelConfig,
                         data_fingerprint, extras={
                             "suggested_max_len": suggested_decode_cap(examples)})
 
-    for epoch in range(start_epoch, epochs_total):
+    for epoch in range(start_epoch, cfg.epochs):
         for indices in epoch_batches(cfg.seed, epoch, lengths, cfg.batch_size):
             batch = pad_batch([examples[i] for i in indices], gt_cache,
-                              use_conditions=cfg.use_conditions)
+                              use_conditions=use_conditions)
             try:
                 loss, breakdown = batch_loss(model, batch, weights)
                 model.zero_grad()
@@ -353,7 +334,7 @@ def train(examples: list[PairExample], cfg: TrainConfig, model_cfg: ModelConfig,
                     save(rescue)
                 raise TrainingDiverged(str(err), resumable, rescue, history) from err
             grad_norm = clip_gradients(model.parameters(), cfg.clip_norm)
-            lr = lr_at_step(step, cfg)
+            lr = lr_at_step(step, cfg, total_steps)
             optimizer.step(lr)
             step += 1
             history.append({"step": step, "lr": lr, **breakdown.as_dict(),
@@ -477,12 +458,14 @@ def load_checkpoint(path) -> CheckpointData:
         arr = np.frombuffer(payload, dtype=dtype, count=count, offset=start)
         arrays[entry["name"]] = arr.reshape(entry["shape"]).copy()
     opt = header.get("optimizer") or {}
+    train_values = {key: value for key, value in header["train_config"].items()
+                    if key not in DERIVED_TRAIN_KEYS}
     return CheckpointData(
         step=header["step"],
         model_config=ModelConfig.from_dict(header["model_config"]),
         # checked for keys and types only: eval and infer read no train value
         # but the seed, so a value a later check rejects still opens
-        train_config=config_from_dict(TrainConfig, header["train_config"], "train",
+        train_config=config_from_dict(TrainConfig, train_values, "train",
                                       RETIRED_TRAIN_KEYS),
         data_fingerprint=header["data_fingerprint"],
         arrays=arrays,

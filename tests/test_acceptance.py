@@ -208,7 +208,7 @@ def test_criterion_4_overfit_sanity():
                             decoder_layers=2, max_len=128)
     train_cfg = TrainConfig(epochs=2000, batch_size=8, lr_peak=3e-3, seed=3)
     result = train(pairs, train_cfg, model_cfg)
-    assert result.config.total_steps <= 2000
+    assert len(result.history) <= 2000
 
     first = result.history[0]["total"]
     last = result.history[-1]["total"]
@@ -269,15 +269,14 @@ ABL_MODEL = ModelConfig(d_model=32, num_heads=4, ff_dim=64,
                         no_repeat=True, feedback="retrieved")
 
 
-def run_small(model_cfg, seed, pairs, loss_weights=(1.0, 1.0, 1.0),
-              use_conditions=False):
+def run_small(model_cfg, seed, pairs, loss_weights=(1.0, 1.0, 1.0)):
     train_pairs, test_pairs = pairs[:120], pairs[120:]
     cfg = TrainConfig(epochs=30, batch_size=8, lr_peak=3e-3, seed=seed,
-                      loss_weights=loss_weights, use_conditions=use_conditions)
+                      loss_weights=loss_weights)
     result = train(train_pairs, cfg, model_cfg)
     report = evaluate(result.model, test_pairs, k_list=(1,),
                       max_len=suggested_decode_cap(train_pairs),
-                      use_conditions=use_conditions)
+                      use_conditions=model_cfg.condition_mode == "encoded")
     return report.f1[1]
 
 
@@ -368,14 +367,17 @@ def test_criterion_8_conditioning_trend():
     plain, conditioned = [], []
     for seed in (1, 2, 3):
         plain.append(run_small(ABL_MODEL, seed, pairs))
-        conditioned.append(run_small(conditioned_cfg, seed, pairs,
-                                     use_conditions=True))
+        conditioned.append(run_small(conditioned_cfg, seed, pairs))
     mean_plain = float(np.mean(plain))
     mean_cond = float(np.mean(conditioned))
     ok = mean_cond > mean_plain
+
+    def shown(mean, scores):  # six decimals: the two means can agree at three
+        return f"{mean:.6f} ({'/'.join(f'{v:.6f}' for v in scores)})"
+
     announce(8, "PASS" if ok else "FAIL",
-             f"mean held-out F1@1 over 3 seeds: conditioned {mean_cond:.3f} "
-             f"vs unconditioned {mean_plain:.3f}")
+             f"mean held-out F1@1 over 3 seeds (seeds 1/2/3): conditioned "
+             f"{shown(mean_cond, conditioned)} vs unconditioned {shown(mean_plain, plain)}")
     assert ok, (f"conditioning did not help: {mean_cond:.3f} "
                 f"vs {mean_plain:.3f}")
 

@@ -1,10 +1,11 @@
 """The program names the benchmark under ``benchmarks/`` relies on.
 
 The benchmark wraps program callables by name from outside
-(``benchmarks/tracing.py``) and calls a few model methods directly
-(``benchmarks/workloads.py``).  Its own tests are not part of this suite, so
-a refactor that renamed or deleted one of those callables would pass here
-and break the benchmark; these tests catch that.
+(``benchmarks/tracing.py``) and calls a few model methods and the training
+and checkpoint functions directly (``benchmarks/workloads.py``).  Its own
+tests are not part of this suite, so a refactor that renamed or deleted one
+of those callables, or changed their arguments, would pass here and break
+the benchmark; these tests catch that.
 """
 
 import importlib.util
@@ -17,6 +18,8 @@ import trailergen.cli  # noqa: F401  (the tracer reads tg.cli; the package does 
 from trailergen import autodiff as ad
 from trailergen.config import ModelConfig
 from trailergen.model import TrailerModel
+from trailergen.synthetic import GeneratorConfig, PairExample, generate_pair
+from trailergen.training import AdamW, TrainConfig
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -53,3 +56,43 @@ def test_teacher_forced_check_of_a_decode_runs():
         forced = model.decode_teacher_forced(memory, preds[:-1]).data
     assert forced.shape == preds.shape == (4, 8)
     assert np.max(np.abs(forced - preds)) <= 1e-4 * np.max(np.abs(preds))
+
+
+TINY_CFG = ModelConfig(d_model=8, num_heads=2, ff_dim=16, trailerness_layers=1,
+                       context_layers=1, decoder_layers=1, max_len=16)
+
+
+def _same_parameters(a, b):
+    return [n for n, _ in a.named_parameters()] == [n for n, _ in b.named_parameters()] and all(
+        np.array_equal(p.data, q.data)
+        for (_, p), (_, q) in zip(a.named_parameters(), b.named_parameters()))
+
+
+def test_train_and_checkpoint_calls_of_the_workloads_run(tmp_path):
+    # train_desk: train() with an epoch callback, the history columns it
+    # reads, and its checkpoint restored
+    gen = GeneratorConfig(d=8, n_range=(6, 6), m_range=(3, 3), seed=0)
+    pairs = [PairExample(f"pair_{i:05d}", *generate_pair(gen, gen.seed + i)) for i in range(3)]
+    epochs = []
+    result = tg.training.train(pairs, TrainConfig(epochs=2, batch_size=2, seed=0), TINY_CFG,
+                               out_dir=tmp_path / "train",
+                               on_epoch=lambda *args: epochs.append(args[0]))
+    assert epochs == [0, 1]
+    history = np.array([[row[k] for k in ("step", "lr", "l_t", "l_rec", "l_kl", "total")]
+                        for row in result.history], dtype=np.float64)
+    assert history.shape == (2 * 2, 6) and np.all(np.isfinite(history))
+    ck = tg.training.load_checkpoint(result.checkpoint_path)
+    restored, _ = tg.training.restore_model_and_optimizer(ck)
+    assert _same_parameters(restored, result.model)
+
+    # eval_desk: an untrained model saved with a seed-only train config
+    model = TrailerModel(TINY_CFG, seed=1)
+    path = tmp_path / "model.ckpt"
+    tg.training.save_checkpoint(path, model, AdamW(model.parameters()), TrainConfig(seed=1),
+                                TINY_CFG, step=0, data_fingerprint="fingerprint",
+                                extras={"suggested_max_len": 4})
+    ck = tg.training.load_checkpoint(path)
+    restored, _ = tg.training.restore_model_and_optimizer(ck)
+    assert (ck.step, ck.data_fingerprint, ck.extras) == (0, "fingerprint",
+                                                         {"suggested_max_len": 4})
+    assert _same_parameters(restored, model)

@@ -253,16 +253,19 @@ class TestTrain:
         assert lines[0].startswith("error: ") and flag[2:] in lines[0]
         assert not (out / "model.ckpt").exists()
 
-    def test_total_steps_not_whole_epochs_exit_2(self, data_dir, tmp_path, capsys):
-        # six train pairs at batch 4 make two steps an epoch, and training
-        # runs whole epochs: one step would run none
+    @pytest.mark.parametrize("setting", ["train.total_steps=4", "train.warmup_steps=0",
+                                         "train.use_conditions=true"])
+    def test_derived_train_key_exit_2(self, data_dir, tmp_path, capsys, setting):
+        # a run's length comes from train.epochs and its conditioning from
+        # --use-conditions, so these keys are unknown
         out = tmp_path / "run"
         rc = main(["train", "--data", str(data_dir), "--out", str(out),
-                   "--set", "train.batch_size=4", "--set", "train.total_steps=1"] + TINY_MODEL)
+                   "--set", setting] + TINY_MODEL)
         assert rc == 2
         lines = capsys.readouterr().err.splitlines()
+        key = setting.split("=")[0].split(".")[1]
         assert len(lines) == 1
-        assert lines[0].startswith("error: ") and "total_steps 1" in lines[0]
+        assert lines[0] == f"error: unknown train config keys: [{key!r}]"
         assert not (out / "model.ckpt").exists()
 
     def test_flags_override_config_entries(self, data_dir, tmp_path):
@@ -289,7 +292,6 @@ class TestTrain:
         ck_plain = load_checkpoint(plain / "model.ckpt")
         ck_cond = load_checkpoint(cond / "model.ckpt")
         assert ck_cond.model_config.condition_mode == "encoded"
-        assert ck_cond.train_config.use_conditions
         assert set(ck_cond.arrays) == set(ck_plain.arrays)
         assert any(not np.array_equal(ck_cond.arrays[name], ck_plain.arrays[name])
                    for name in ck_plain.arrays)
@@ -363,6 +365,26 @@ class TestTrain:
                          "--set", "train.lr_peak=1e-3", "--set", "train.seed=0"]
                         + flags) == 0
             assert load_checkpoint(resumed / "model.ckpt").step == 3 * 2  # 2 steps an epoch
+
+    def test_resume_of_conditioned_checkpoint_needs_no_flag(self, data_dir, tmp_path):
+        # the restored model is conditioned, so the resumed epochs feed the
+        # condition rows whether or not --use-conditions is given again
+        base = ["--data", str(data_dir), "--set", "train.batch_size=4",
+                "--set", "train.lr_peak=1e-3", "--set", "train.seed=0"] + TINY_MODEL
+        first = tmp_path / "first"
+        assert main(["train", "--out", str(first), "--use-conditions",
+                     "--set", "train.epochs=1"] + base) == 0
+        # the train config a checkpoint held before the derived keys went
+        ckpt = tmp_path / "old.ckpt"
+        _with_header_entries(first / "model.ckpt", ckpt, "train_config", {
+            "total_steps": 2, "warmup_steps": 0, "use_conditions": True})
+        logs = []
+        for name, flags in (("with_flag", ["--use-conditions"]), ("without_flag", [])):
+            out = tmp_path / name
+            assert main(["train", "--out", str(out), "--resume", str(ckpt),
+                         "--set", "train.epochs=2"] + base + flags) == 0
+            logs.append((out / "loss_log.csv").read_bytes())
+        assert logs[0] == logs[1]
 
     def test_divergent_run_exit_3(self, data_dir, tmp_path, capsys):
         with np.errstate(over="ignore"):  # overflow is the point here
@@ -504,6 +526,25 @@ class TestEval:
                    "--resume", str(ckpt), "--set", "train.epochs=4"] + TINY_MODEL)
         assert rc == 2
         assert "epochs must be >= 1, got 0" in capsys.readouterr().err
+
+    def test_checkpoint_with_derived_train_keys_evaluates_and_resumes(
+            self, run_dir, data_dir, tmp_path):
+        # checkpoints stored total_steps, warmup_steps and use_conditions
+        # until the run derived them; loading drops them
+        ckpt = tmp_path / "old.ckpt"
+        _with_header_entries(run_dir / "model.ckpt", ckpt, "train_config", {
+            "total_steps": 4, "warmup_steps": 0, "use_conditions": False})
+        assert set(load_checkpoint(ckpt).train_config.to_dict()) == set(
+            load_checkpoint(run_dir / "model.ckpt").train_config.to_dict())
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data_dir),
+                     "--out", str(tmp_path / "eval"), "--baseline-trials", "10"]) == 0
+        movie_file = next(data_dir.glob("*.movie.json"))
+        assert main(["infer", "--checkpoint", str(ckpt), "--movie", str(movie_file),
+                     "--out", str(tmp_path / "o.json"), "--max-len", "2"]) == 0
+        assert main(["train", "--data", str(data_dir), "--out", str(tmp_path / "run"),
+                     "--resume", str(ckpt), "--set", "train.epochs=3",
+                     "--set", "train.batch_size=4"] + TINY_MODEL) == 0
+        assert load_checkpoint(tmp_path / "run" / "model.ckpt").step == 3 * 2
 
     def test_missing_checkpoint_exit_2(self, data_dir, tmp_path, capsys):
         rc = main(["eval", "--checkpoint", str(tmp_path / "no.ckpt"),

@@ -137,6 +137,14 @@ class TestModelConditioning:
         with pytest.raises(ShapeError):
             model.attach_condition(enc, [np.ones((4, 8))])
 
+    def test_mixed_widths_rejected_by_width(self):
+        model = conditioned()
+        rng = np.random.default_rng(5)
+        enc = model.encode_batch([rng_movie(rng, 7), rng_movie(rng, 9)])
+        with pytest.raises(ShapeError, match="condition width 6 does not match "
+                                             "memory width 16"):
+            model.attach_condition(enc, [np.ones((1, 16)), np.ones((1, 6))])
+
     def test_batched_condition_count_must_match(self):
         cfg = with_overrides(BASE, condition_mode="encoded")
         model = TrailerModel(cfg, seed=3)

@@ -151,6 +151,16 @@ def test_frame_one_rejects_wrong_width():
         model.frame_one(np.zeros((3, 9)))
 
 
+@pytest.mark.parametrize("eos_rule", ["margin", "threshold"])
+def test_movie_without_shots_rejected(eos_rule):
+    # the threshold rule would otherwise decode 0 shots, ended by "pool"
+    model = TrailerModel(small_cfg(eos_rule=eos_rule), seed=1)
+    with pytest.raises(ShapeError, match="every movie needs at least one shot"):
+        model.generate(np.zeros((0, 8)))
+    with pytest.raises(ShapeError, match="every movie needs at least one shot"):
+        model.encode_batch([_movie(n=3), np.zeros((0, 8))])
+
+
 def test_positional_rows_capped_by_table():
     model = TrailerModel(small_cfg(max_len=4), seed=1)
     assert model.positional_rows(6).shape == (6, 8)

@@ -18,7 +18,7 @@ from trailergen import training
 from trailergen.autodiff import ConfigurationError, Parameter
 from trailergen.config import ModelConfig, with_overrides
 from trailergen.model import TrailerModel
-from trailergen.shots import trailerness_ground_truth
+from trailergen.shots import ShotSequence, trailerness_ground_truth
 from trailergen.synthetic import GeneratorConfig, PairExample, generate_pair
 from trailergen.training import (AdamW, TrainConfig, TrainingDiverged,
                                  batch_loss, clip_gradients, epoch_batches,
@@ -45,45 +45,42 @@ def tiny_pairs(count, seed=11, d=16):
 # --------------------------------------------------------------------------
 
 class TestSchedule:
-    CFG = TrainConfig(lr_peak=1e-4, warmup_steps=100, total_steps=1000)
+    # a tenth of 1000 steps: a 100-step warmup
+    CFG, TOTAL = TrainConfig(lr_peak=1e-4, warmup_frac=0.1), 1000
 
     def test_step_zero_is_zero(self):
-        assert lr_at_step(0, self.CFG) == 0.0
+        assert lr_at_step(0, self.CFG, self.TOTAL) == 0.0
 
     def test_warmup_end_reaches_peak(self):
-        assert lr_at_step(100, self.CFG) == pytest.approx(1e-4)
+        assert lr_at_step(100, self.CFG, self.TOTAL) == pytest.approx(1e-4)
 
     def test_midpoint_is_half_peak(self):
         # cos(pi/2) = 0, so the midpoint of the decay is exactly lr/2
         mid = (100 + 1000) // 2
-        assert lr_at_step(mid, self.CFG) == pytest.approx(5e-5)
+        assert lr_at_step(mid, self.CFG, self.TOTAL) == pytest.approx(5e-5)
 
     def test_linear_ramp_during_warmup(self):
-        assert lr_at_step(25, self.CFG) == pytest.approx(0.25e-4)
-        assert lr_at_step(50, self.CFG) == pytest.approx(0.5e-4)
+        assert lr_at_step(25, self.CFG, self.TOTAL) == pytest.approx(0.25e-4)
+        assert lr_at_step(50, self.CFG, self.TOTAL) == pytest.approx(0.5e-4)
 
     def test_final_step_decays_to_zero(self):
-        assert lr_at_step(1000, self.CFG) == pytest.approx(0.0, abs=1e-20)
+        assert lr_at_step(1000, self.CFG, self.TOTAL) == pytest.approx(0.0, abs=1e-20)
 
     def test_monotone_up_then_down(self):
-        values = [lr_at_step(s, self.CFG) for s in range(0, 1001, 10)]
+        values = [lr_at_step(s, self.CFG, self.TOTAL) for s in range(0, 1001, 10)]
         peak = values.index(max(values))
         assert all(a <= b for a, b in zip(values[:peak], values[1:peak + 1]))
         assert all(a >= b for a, b in zip(values[peak:], values[peak + 1:]))
 
     def test_out_of_range_step_rejected(self):
         with pytest.raises(ValueError):
-            lr_at_step(1001, self.CFG)
+            lr_at_step(1001, self.CFG, self.TOTAL)
         with pytest.raises(ValueError):
-            lr_at_step(-1, self.CFG)
-
-    def test_unresolved_config_rejected(self):
-        with pytest.raises(ConfigurationError):
-            lr_at_step(0, TrainConfig())
+            lr_at_step(-1, self.CFG, self.TOTAL)
 
     def test_zero_warmup_starts_at_peak(self):
-        cfg = TrainConfig(lr_peak=2e-3, warmup_steps=0, total_steps=10)
-        assert lr_at_step(0, cfg) == pytest.approx(2e-3)
+        cfg = TrainConfig(lr_peak=2e-3, warmup_frac=0.0)
+        assert lr_at_step(0, cfg, 10) == pytest.approx(2e-3)
 
 
 # --------------------------------------------------------------------------
@@ -365,9 +362,9 @@ class TestTrainConfig:
         {"lr_peak": -1e-4},
         {"batch_size": 0},
         {"epochs": -1},
-        {"total_steps": -1},
-        {"total_steps": -2},
-        {"warmup_steps": -2},
+        {"beta1": 1.0},
+        {"eps": 0.0},
+        {"weight_decay": -0.1},
         {"loss_weights": (1.0, 1.0)},
         {"loss_weights": (1.0, -1.0, 1.0)},
         {"warmup_frac": 1.0},
@@ -376,28 +373,9 @@ class TestTrainConfig:
         with pytest.raises(ConfigurationError):
             TrainConfig(**kwargs).validate()
 
-    def test_resolved_derives_step_counts(self):
-        cfg = TrainConfig(epochs=3, batch_size=8, warmup_frac=0.05).resolved(10)
-        assert cfg.total_steps == 3 * 2  # ceil(10/8) = 2 steps per epoch
-        assert cfg.warmup_steps == int(0.05 * 6)
-
-    def test_resolved_keeps_explicit_counts(self):
-        cfg = TrainConfig(total_steps=100, warmup_steps=10).resolved(10)
-        assert cfg.total_steps == 100
-        assert cfg.warmup_steps == 10
-
-    @pytest.mark.parametrize("total_steps", [1, 3, 5])
-    def test_resolved_rejects_steps_that_are_not_whole_epochs(self, total_steps):
-        # 16 pairs at batch 8 are 2 steps an epoch, and training runs whole
-        # epochs, so 1, 3 or 5 steps would run 0, 2 or 4
-        with pytest.raises(ConfigurationError, match="epochs of 2 steps"):
-            TrainConfig(total_steps=total_steps, batch_size=8).resolved(16)
-        aligned = TrainConfig(total_steps=total_steps + 1, batch_size=8).resolved(16)
-        assert aligned.total_steps == total_steps + 1
-
-    def test_resolved_rejects_warmup_at_or_past_total(self):
-        with pytest.raises(ConfigurationError):
-            TrainConfig(total_steps=10, warmup_steps=10).resolved(5)
+    @pytest.mark.parametrize("pairs, steps", [(1, 1), (8, 1), (10, 2), (16, 2), (17, 3)])
+    def test_steps_per_epoch_counts_a_partial_batch(self, pairs, steps):
+        assert TrainConfig(batch_size=8).steps_per_epoch(pairs) == steps
 
     def test_dict_round_trip(self):
         cfg = TrainConfig(lr_peak=3e-3, loss_weights=(2.0, 1.0, 0.5), seed=7)
@@ -414,7 +392,7 @@ class TestTrainConfig:
         ({"clip_norm": float("nan")}, "clip_norm"),
         ({"epochs": 2.5}, "epochs"),
         ({"batch_size": True}, "batch_size"),
-        ({"use_conditions": 1}, "use_conditions"),
+        ({"warmup_frac": True}, "warmup_frac"),
         ({"loss_weights": "1,1,1"}, "loss_weights"),
         ({"loss_weights": [1.0, "x", 1.0]}, "loss_weights"),
     ])
@@ -477,11 +455,12 @@ class TestTrain:
         assert all(math.isfinite(h["grad_norm"]) and h["grad_norm"] > 0.0
                    for h in result.history)
 
-    def test_explicit_total_steps_all_run(self):
-        cfg = TrainConfig(total_steps=4, batch_size=2, lr_peak=1e-3, seed=4)
-        result = train(tiny_pairs(3), cfg, SLIM)  # ceil(3/2) = 2 steps an epoch
-        assert len(result.history) == result.config.total_steps == 4
-        assert [h["step"] for h in result.history] == [1, 2, 3, 4]
+    def test_schedule_spans_the_epochs(self):
+        # 2 epochs of ceil(5/2) = 3 steps; a warmup_frac of 0.5 is 3 steps
+        cfg = TrainConfig(epochs=2, batch_size=2, lr_peak=1e-3, warmup_frac=0.5, seed=4)
+        result = train(tiny_pairs(5), cfg, SLIM)
+        assert [h["lr"] for h in result.history] == [lr_at_step(s, cfg, 6) for s in range(6)]
+        assert [h["lr"] for h in result.history[:4]] == [0.0, 1e-3 / 3, 2e-3 / 3, 1e-3]
 
     def test_single_pair_overfits(self):
         # the loss should collapse by well over an order of magnitude
@@ -719,16 +698,25 @@ class TestResume:
                                      resumed.model.named_parameters()):
             np.testing.assert_array_equal(p.data, q.data, err_msg=name)
 
-    def test_use_conditions_needs_a_conditioned_model(self, tmp_path):
-        # a fresh run reads the model config; a resumed run the restored model
-        pairs = tiny_pairs(2)
-        cfg = TrainConfig(epochs=1, batch_size=2, lr_peak=1e-3, seed=6)
-        with pytest.raises(ConfigurationError, match="use_conditions.*condition_mode"):
-            train(pairs, replace(cfg, use_conditions=True), SLIM)
-        path = train(pairs, cfg, SLIM, out_dir=tmp_path).checkpoint_path
-        with pytest.raises(ConfigurationError, match="use_conditions.*condition_mode"):
-            train(pairs, replace(cfg, epochs=2, use_conditions=True),
-                  replace(SLIM, condition_mode="encoded"), resume_from=path)
+    def test_conditioning_follows_the_restored_model(self, tmp_path):
+        # a resumed run feeds condition rows exactly when the model it
+        # restores is conditioned, whatever model config it is given
+        pairs = tiny_pairs(3)
+        rng = np.random.default_rng(5)
+        for ex in pairs:
+            ex.condition = ShotSequence(f"{ex.pair_id}-c", rng.normal(size=(2, 16)),
+                                        role="condition")
+        cfg = TrainConfig(epochs=2, batch_size=2, lr_peak=1e-3, seed=6)
+        conditioned = replace(SLIM, condition_mode="encoded")
+        straight = train(pairs, cfg, conditioned)
+        path = train(pairs, cfg, conditioned, out_dir=tmp_path,
+                     on_epoch=lambda epoch, model, history: True).checkpoint_path
+        resumed = train(pairs, cfg, SLIM, resume_from=path)
+        assert resumed.history == straight.history[2:]
+        for ex in pairs:
+            ex.condition = None
+        with pytest.raises(ConfigurationError, match="condition"):
+            train(pairs, cfg, SLIM, resume_from=path)
 
     def test_mid_epoch_checkpoint_rejected(self, tmp_path):
         pairs = tiny_pairs(3)
