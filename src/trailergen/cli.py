@@ -271,12 +271,6 @@ def _restore_model(checkpoint_path) -> tuple[TrailerModel, dict]:
     return model, ck.extras
 
 
-def _require_conditioning(model: TrailerModel, flag: str) -> None:
-    if model.cfg.condition_mode == "none":
-        raise InputError(f"checkpoint was trained without conditioning; "
-                         f"{flag} is not usable")
-
-
 def cmd_eval(args) -> int:
     started = time.perf_counter()
     ckpt = Path(args.checkpoint)
@@ -291,13 +285,8 @@ def cmd_eval(args) -> int:
     max_len = args.max_len or int(extras.get("suggested_max_len", 32))
     topk = max(k_list)
 
-    conditions = None
-    if args.use_conditions:
-        _require_conditioning(model, "--use-conditions")
-        missing = [ex.pair_id for ex in examples if ex.condition is None]
-        if missing:
-            raise InputError(f"pair {missing[0]} has no condition sequence")
-        conditions = [ex.condition.embeddings for ex in examples]
+    conditions = [None if ex.condition is None else ex.condition.embeddings
+                  for ex in examples]
     loaded = time.perf_counter()
     decoded = model.generate_batch([ex.movie.embeddings for ex in examples], conditions,
                                    max_len=max_len, topk=topk)
@@ -361,7 +350,9 @@ def cmd_infer(args) -> int:
                          f"checkpoint d_model {model.cfg.d_model}")
     condition = None
     if args.condition:
-        _require_conditioning(model, "--condition")
+        if model.cfg.condition_mode == "none":
+            raise InputError("checkpoint was trained without conditioning; "
+                             "--condition is not usable")
         condition = read_sequence(args.condition).embeddings
 
     max_len = args.max_len or int(extras.get("suggested_max_len", 32))
@@ -476,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="top-k values (repeatable; default 1,5,10)")
     p.add_argument("--max-len", type=positive_int, default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--use-conditions", action="store_true")
     p.add_argument("--baseline-trials", type=positive_int, default=200)
     p.set_defaults(func=cmd_eval)
 

@@ -115,16 +115,25 @@ class TrailerModel(Module):
     def attach_condition(self, enc: EncodeResult, conditions) -> tuple[Tensor, np.ndarray]:
         """Append condition rows to the memory as extra cross-attention keys.
 
-        ``conditions`` holds one [Lc, d_model] array per movie of ``enc``,
-        such as embedded plot summaries.  Returns the merged memory and its
-        validity mask.  With no condition rows the memory comes back
-        untouched, so such a pass equals an unconditioned one.
+        The one place that decides what a pass is fed: an unconditioned
+        model ignores ``conditions``, and a conditioned one needs one
+        [Lc, d_model] array per movie of ``enc``, such as embedded plot
+        summaries, so a None condition is a ``ConfigurationError``.  Returns
+        the merged memory and its validity mask.  Empty [0, d_model] rows
+        are the explicit unconditioned pass: the memory comes back untouched.
         """
-        if self.cfg.condition_mode == "none" or conditions is None:
+        if self.cfg.condition_mode == "none":
             return enc.memory, enc.valid
-        arrays = [as_embedding_array(c) for c in conditions]
-        if len(arrays) != enc.memory.shape[0]:
+        if conditions is None:
+            conditions = [None] * enc.memory.shape[0]
+        if len(conditions) != enc.memory.shape[0]:
             raise ShapeError("need one condition per batched movie")
+        missing = [i for i, c in enumerate(conditions) if c is None]
+        if missing:
+            raise ConfigurationError(
+                f"the model is conditioned, but movie {missing[0]} of the batch has no "
+                f"condition rows; pass [0, {self.cfg.d_model}] rows for an unconditioned pass")
+        arrays = [as_embedding_array(c) for c in conditions]
         if any(a.ndim != 2 for a in arrays):
             raise ShapeError(f"conditions must be [Lc, d] rows, got shapes "
                              f"{[a.shape for a in arrays]}")
@@ -194,7 +203,8 @@ class TrailerModel(Module):
         the next row of every sequence still decoding.
         Each decoded embedding is matched to movie shots immediately; the
         matched shot feeds back instead of the raw prediction when the model
-        is configured for retrieval feedback.
+        is configured for retrieval feedback.  ``attach_condition`` decides
+        whether each movie's condition rows (or None) are read.
         """
         if max_len < 1:
             raise ValueError("max_len must be >= 1")
@@ -209,8 +219,7 @@ class TrailerModel(Module):
         copies = 1 + 2 * len(self.decoder.layers)
         with ad.no_grad():
             for movie, condition in zip(arrays, conditions):
-                memory, _ = self.attach_condition(
-                    self.encode_batch([movie]), None if condition is None else [condition])
+                memory, _ = self.attach_condition(self.encode_batch([movie]), [condition])
                 memory = memory.data[0]
                 rows = max(rows, memory.shape[0])
                 padded = copies * (len(group) + 1) * rows * memory.shape[1] * memory.itemsize

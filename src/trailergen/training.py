@@ -80,6 +80,8 @@ class TrainConfig:
             raise ConfigurationError(f"eps must be positive, got {self.eps}")
         if self.weight_decay < 0:
             raise ConfigurationError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.checkpoint_every < 0:
+            raise ConfigurationError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         return self
 
     def steps_per_epoch(self, num_pairs: int) -> int:
@@ -96,6 +98,8 @@ class TrainConfig:
 def lr_at_step(step: int, cfg: TrainConfig, total: int) -> float:
     """Linear ramp 0 -> lr_peak over the first ``warmup_frac`` of ``total``
     steps, then cosine decay to 0."""
+    if total < 1:
+        raise ValueError(f"total must be >= 1 step, got {total}")
     if not 0 <= step <= total:
         raise ValueError(f"step {step} outside [0, {total}]")
     warmup = int(cfg.warmup_frac * total)
@@ -156,23 +160,20 @@ def clip_gradients(params: list[Parameter], max_norm: float) -> float:
 class Batch:
     movies: list[np.ndarray]
     trailers: list[np.ndarray]
-    conditions: list[np.ndarray] | None
+    conditions: list[np.ndarray | None]
     gt_scores: np.ndarray      # [B, n_max+2] framed trailerness targets, zero-padded
     score_valid: np.ndarray    # [B, n_max+2]
 
 
-def pad_batch(examples: list[PairExample], gt_cache: dict | None = None,
-              use_conditions: bool = False) -> Batch:
-    """Assemble per-pair arrays plus padded score targets and validity masks."""
+def pad_batch(examples: list[PairExample], gt_cache: dict | None = None) -> Batch:
+    """Assemble per-pair arrays plus padded score targets and validity masks;
+    each pair's condition rows (or None) go along for ``attach_condition``."""
     if not examples:
         raise ValueError("empty batch")
     movies = [ex.movie.embeddings for ex in examples]
     trailers = [ex.trailer.embeddings for ex in examples]
-    conditions = None
-    if use_conditions:
-        if any(ex.condition is None for ex in examples):
-            raise ConfigurationError("a conditioned model needs a condition sequence per pair")
-        conditions = [ex.condition.embeddings for ex in examples]
+    conditions = [None if ex.condition is None else ex.condition.embeddings
+                  for ex in examples]
     lengths = np.array([m.shape[0] + 2 for m in movies], dtype=np.int64)
     full = int(lengths.max())
     gt = np.zeros((len(examples), full), dtype=np.float64)
@@ -267,8 +268,7 @@ def train(examples: list[PairExample], cfg: TrainConfig, model_cfg: ModelConfig,
     parameters go to ``model.rescue.ckpt``, and ``TrainingDiverged`` is raised.
     A resumed run trains the restored model and saves that model's config;
     ``model_cfg`` then only has to be valid.  The run is ``cfg.epochs``
-    epochs long, and each pair's condition rows are fed exactly when the
-    model is conditioned.
+    epochs long.
     """
     if not examples:
         raise ValueError("training needs at least one pair")
@@ -290,17 +290,16 @@ def train(examples: list[PairExample], cfg: TrainConfig, model_cfg: ModelConfig,
         model = TrailerModel(model_cfg, seed=cfg.seed)
         optimizer = AdamW(model.parameters(), cfg.beta1, cfg.beta2, cfg.eps,
                           cfg.weight_decay)
-    use_conditions = model.cfg.condition_mode == "encoded"
+    # without a trailerness encoder the model computes no l_t to weigh
+    computed = cfg.loss_weights[1:] if model.trailerness is None else cfg.loss_weights
+    if not any(computed):
+        raise ConfigurationError(f"loss_weights {cfg.loss_weights} zero every loss term "
+                                 f"this model computes")
 
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_path / "model.ckpt" if out_path is not None else None
-
-    if model.trailerness is None and cfg.loss_weights[0] != 0.0:
-        weights = (0.0, cfg.loss_weights[1], cfg.loss_weights[2])
-    else:
-        weights = cfg.loss_weights
 
     lengths = [len(ex.movie) for ex in examples]
     gt_cache: dict = {}
@@ -317,10 +316,9 @@ def train(examples: list[PairExample], cfg: TrainConfig, model_cfg: ModelConfig,
 
     for epoch in range(start_epoch, cfg.epochs):
         for indices in epoch_batches(cfg.seed, epoch, lengths, cfg.batch_size):
-            batch = pad_batch([examples[i] for i in indices], gt_cache,
-                              use_conditions=use_conditions)
+            batch = pad_batch([examples[i] for i in indices], gt_cache)
             try:
-                loss, breakdown = batch_loss(model, batch, weights)
+                loss, breakdown = batch_loss(model, batch, cfg.loss_weights)
                 model.zero_grad()
                 loss.backward()
             except NonFiniteError as err:

@@ -153,7 +153,7 @@ def reference_generate(model, movie, condition=None, max_len: int = 32,
     k = min(max(1, topk), n)
     with ad.no_grad():
         enc = model.encode_single(movie_arr)
-        memory, _ = model.attach_condition(enc, None if condition is None else [condition])
+        memory, _ = model.attach_condition(enc, [condition])
         memory = memory[0]
         rows = [ad.reshape(model.sos, (1, cfg.d_model))]
         kept, all_preds, matched = [], [], []

@@ -48,10 +48,11 @@ def build_pairs(cfg: GeneratorConfig, count: int, with_conditions: bool = False)
     return out
 
 
-def evaluate(model, examples, k_list=(1,), max_len=48, use_conditions=False):
+def evaluate(model, examples, k_list=(1,), max_len=48):
+    # each pair's condition goes along; only a conditioned model reads it
     records = []
     for ex in examples:
-        cond = ex.condition.embeddings if use_conditions else None
+        cond = None if ex.condition is None else ex.condition.embeddings
         decoded = model.generate(ex.movie.embeddings, condition=cond,
                                  max_len=max_len, topk=max(k_list))
         records.append({"id": ex.pair_id,
@@ -275,8 +276,7 @@ def run_small(model_cfg, seed, pairs, loss_weights=(1.0, 1.0, 1.0)):
                       loss_weights=loss_weights)
     result = train(train_pairs, cfg, model_cfg)
     report = evaluate(result.model, test_pairs, k_list=(1,),
-                      max_len=suggested_decode_cap(train_pairs),
-                      use_conditions=model_cfg.condition_mode == "encoded")
+                      max_len=suggested_decode_cap(train_pairs))
     return report.f1[1]
 
 

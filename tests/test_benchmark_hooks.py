@@ -8,7 +8,9 @@ of those callables, or changed their arguments, would pass here and break
 the benchmark; these tests catch that.
 """
 
+import contextlib
 import importlib.util
+import io
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,8 @@ import trailergen.cli  # noqa: F401  (the tracer reads tg.cli; the package does 
 from trailergen import autodiff as ad
 from trailergen.config import ModelConfig
 from trailergen.model import TrailerModel
-from trailergen.synthetic import GeneratorConfig, PairExample, generate_pair
+from trailergen.synthetic import (GeneratorConfig, PairExample, dataset_fingerprint,
+                                  generate_dataset, generate_pair)
 from trailergen.training import AdamW, TrainConfig
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
@@ -96,3 +99,23 @@ def test_train_and_checkpoint_calls_of_the_workloads_run(tmp_path):
     assert (ck.step, ck.data_fingerprint, ck.extras) == (0, "fingerprint",
                                                          {"suggested_max_len": 4})
     assert _same_parameters(restored, model)
+
+
+def test_eval_call_of_the_workload_runs(tmp_path):
+    # eval_desk: cli.main with the workload's argv on an unconditioned
+    # checkpoint and a test split written without condition sequences
+    gen = GeneratorConfig(d=8, n_range=(6, 6), m_range=(3, 3), seed=0)
+    data = tmp_path / "data"
+    generate_dataset(gen, 3, data, splits={"train": [], "val": [], "test": [0, 1, 2]},
+                     include_conditions=False)
+    model = TrailerModel(TINY_CFG, seed=1)
+    ckpt = tmp_path / "model.ckpt"
+    tg.training.save_checkpoint(ckpt, model, AdamW(model.parameters()), TrainConfig(seed=1),
+                                TINY_CFG, step=0, data_fingerprint=dataset_fingerprint(data),
+                                extras={"suggested_max_len": 4})
+    out = tmp_path / "eval"
+    argv = ["eval", "--checkpoint", str(ckpt), "--data", str(data),
+            "--split", "test", "--max-len", "4", "--out", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert tg.cli.main(argv) == 0
+    assert (out / "eval_test.json").exists()

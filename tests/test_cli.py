@@ -45,16 +45,24 @@ def data_dir(tmp_path_factory):
     return out
 
 
-@pytest.fixture(scope="module")
-def run_dir(tmp_path_factory, data_dir):
-    out = tmp_path_factory.mktemp("run")
+def _train_run(out, data_dir, *flags):
     rc = main(["train", "--data", str(data_dir), "--out", str(out),
                "--set", "train.epochs=2", "--set", "train.batch_size=4",
                "--set", "train.lr_peak=1e-3", "--set", "train.seed=0",
                "--set", "model.eos_rule=threshold",
-               "--set", "model.eos_threshold=1.1"] + TINY_MODEL)
+               "--set", "model.eos_threshold=1.1", *flags] + TINY_MODEL)
     assert rc == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory, data_dir):
+    return _train_run(tmp_path_factory.mktemp("run"), data_dir)
+
+
+@pytest.fixture(scope="module")
+def cond_run_dir(tmp_path_factory, data_dir):
+    return _train_run(tmp_path_factory.mktemp("cond_run"), data_dir, "--use-conditions")
 
 
 # --------------------------------------------------------------------------
@@ -231,6 +239,7 @@ class TestTrain:
         "model.condition_mode=contextualized",
         "model.position_mode=learned", "train.normalize_by_length=true",
         "train.beta1=1.0", "train.eps=0", "train.beta2=1.5", "train.weight_decay=-0.1",
+        "train.checkpoint_every=-1", "train.loss_weights=0,0,0",
     ])
     def test_bad_config_value_exit_2(self, data_dir, tmp_path, capsys, setting):
         rc = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "run"),
@@ -490,14 +499,42 @@ class TestEval:
         assert rc == 2
         assert capsys.readouterr().err
 
-    def test_use_conditions_on_unconditioned_checkpoint_exit_2(
-            self, run_dir, data_dir, tmp_path, capsys):
-        rc = main(["eval", "--checkpoint", str(run_dir / "model.ckpt"),
-                   "--data", str(data_dir), "--use-conditions",
-                   "--out", str(tmp_path / "eval")])
+    def test_use_conditions_flag_is_gone_exit_2(self, run_dir, data_dir, tmp_path, capsys):
+        # the checkpoint, not a flag, says whether eval feeds condition rows
+        with pytest.raises(SystemExit) as exit_info:
+            main(["eval", "--checkpoint", str(run_dir / "model.ckpt"),
+                  "--data", str(data_dir), "--use-conditions",
+                  "--out", str(tmp_path / "eval")])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --use-conditions" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
+
+    def test_conditioned_checkpoint_decodes_with_each_pairs_condition(
+            self, cond_run_dir, data_dir, tmp_path):
+        out = tmp_path / "eval"
+        rc = main(["eval", "--checkpoint", str(cond_run_dir / "model.ckpt"),
+                   "--data", str(data_dir), "--split", "train", "--k", "1",
+                   "--out", str(out), "--baseline-trials", "10"])
+        assert rc == 0
+        payload = json.loads((out / "eval_train.json").read_text())
+        model, _ = restore_model_and_optimizer(load_checkpoint(cond_run_dir / "model.ckpt"))
+        examples, _ = load_dataset(data_dir, "train")
+        for entry, ex in zip(payload["model"]["per_pair"], examples):
+            decoded = model.generate(ex.movie.embeddings, ex.condition.embeddings,
+                                     max_len=payload["max_len"])
+            assert entry["id"] == ex.pair_id
+            assert entry["predicted"] == decoded.matched_indices
+
+    def test_conditioned_checkpoint_on_corpus_without_conditions_exit_2(
+            self, cond_run_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["gen-data", "--out", str(data), "--count", "8",
+                     "--split-counts", "6,1,1", "--no-conditions"] + TINY_DATA) == 0
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(cond_run_dir / "model.ckpt"),
+                   "--data", str(data), "--out", str(tmp_path / "eval")])
         assert rc == 2
-        assert ("checkpoint was trained without conditioning; --use-conditions is not "
-                "usable") in capsys.readouterr().err
+        assert "conditioned" in capsys.readouterr().err
         assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("entries", [{"condition_mode": "contextualized"},
@@ -631,6 +668,15 @@ class TestInfer:
                    "--out", str(tmp_path / "o.json")])
         assert rc == 2
         assert "conditioning" in capsys.readouterr().err
+
+    def test_conditioned_checkpoint_without_condition_exit_2(
+            self, cond_run_dir, data_dir, tmp_path, capsys):
+        movie_file = next(data_dir.glob("*.movie.json"))
+        rc = main(["infer", "--checkpoint", str(cond_run_dir / "model.ckpt"),
+                   "--movie", str(movie_file), "--out", str(tmp_path / "o.json")])
+        assert rc == 2
+        assert "conditioned" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
 
 
 # --------------------------------------------------------------------------

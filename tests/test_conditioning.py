@@ -1,5 +1,6 @@
 """Tests for condition-vector support: model-wide condition rows appended to
-the memory, and empty-condition pass-through."""
+the memory, empty-condition pass-through, and a conditioned model's refusal
+of a missing condition."""
 
 import numpy as np
 import pytest
@@ -43,12 +44,17 @@ class TestAugmentContext:
         np.testing.assert_array_equal(merged.data[0, 5:], 2.0)
         np.testing.assert_array_equal(valid, all_valid(8))
 
-    def test_none_condition_is_pass_through(self):
+    def test_none_condition_raises(self):
+        # a conditioned model is never silently fed a memory without its rows
         model = conditioned()
         enc = three_shot_encoding(model)
-        merged, valid = model.attach_condition(enc, None)
-        assert merged is enc.memory
-        np.testing.assert_array_equal(valid, all_valid(5))
+        for conditions in (None, [None]):
+            with pytest.raises(ConfigurationError, match="movie 0 of the batch"):
+                model.attach_condition(enc, conditions)
+        rng = np.random.default_rng(2)
+        enc = model.encode_batch([rng_movie(rng, 3), rng_movie(rng, 4)])
+        with pytest.raises(ConfigurationError, match="movie 1 of the batch"):
+            model.attach_condition(enc, [np.ones((2, 16)), None])
 
     def test_zero_length_condition_is_pass_through(self):
         model = conditioned()
@@ -89,17 +95,17 @@ class TestModelConditioning:
         model = TrailerModel(cfg, seed=3)
         movie = rng_movie(np.random.default_rng(5), 7)
         enc = model.encode_single(movie)
-        memory, valid = model.attach_condition(enc, None)
-        assert memory is enc.memory
         memory, valid = model.attach_condition(enc, [np.zeros((0, 16))])
         assert memory is enc.memory
+        np.testing.assert_array_equal(valid, enc.valid)
 
     def test_condition_mode_none_ignores_conditions(self):
         model = TrailerModel(BASE, seed=3)
         movie = rng_movie(np.random.default_rng(5), 7)
         enc = model.encode_single(movie)
-        memory, _ = model.attach_condition(enc, [np.ones((4, 16))])
-        assert memory is enc.memory
+        for conditions in ([np.ones((4, 16))], [None], None):
+            memory, _ = model.attach_condition(enc, conditions)
+            assert memory is enc.memory
 
     def test_memory_length_is_frame_plus_condition_rows(self):
         cfg = with_overrides(BASE, condition_mode="encoded")
@@ -115,10 +121,20 @@ class TestModelConditioning:
         model = TrailerModel(cfg, seed=3)
         rng = np.random.default_rng(5)
         movie = rng_movie(rng, 9)
-        plain = model.generate(movie, max_len=6, topk=1)
+        plain = model.generate(movie, condition=np.zeros((0, 16)), max_len=6, topk=1)
         steered = model.generate(movie, condition=rng.normal(size=(3, 16)),
                                  max_len=6, topk=1)
         assert not np.array_equal(plain.all_predictions, steered.all_predictions)
+
+    def test_decode_without_a_condition_raises(self):
+        model = conditioned()
+        rng = np.random.default_rng(5)
+        movies = [rng_movie(rng, 9), rng_movie(rng, 6)]
+        with pytest.raises(ConfigurationError, match="conditioned"):
+            model.generate(movies[0], max_len=4)
+        for conditions in (None, [np.ones((2, 16)), None]):
+            with pytest.raises(ConfigurationError, match="conditioned"):
+                model.generate_batch(movies, conditions, max_len=4)
 
     def test_conditioned_weights_match_unconditioned_base(self):
         # conditioning adds no parameter and reshuffles none

@@ -470,7 +470,7 @@ def test_generate_batch_rejects_bad_input():
     with pytest.raises(ShapeError):
         model.generate_batch([_movie(4), _movie(5)], conditions=[_movie(2)])
     with pytest.raises(ShapeError):
-        model.generate_batch([_movie(4), _movie(5, d=6)])
+        model.generate_batch([_movie(4), _movie(5, d=6)], conditions=[_movie(2)] * 2)
     with pytest.raises(ValueError):
         model.generate_batch([_movie(4)], max_len=0)
 

@@ -78,6 +78,11 @@ class TestSchedule:
         with pytest.raises(ValueError):
             lr_at_step(-1, self.CFG, self.TOTAL)
 
+    @pytest.mark.parametrize("total", [0, -1])
+    def test_total_below_one_rejected(self, total):
+        with pytest.raises(ValueError, match="total"):
+            lr_at_step(0, self.CFG, total)
+
     def test_zero_warmup_starts_at_peak(self):
         cfg = TrainConfig(lr_peak=2e-3, warmup_frac=0.0)
         assert lr_at_step(0, cfg, 10) == pytest.approx(2e-3)
@@ -214,10 +219,16 @@ class TestPadBatch:
         np.testing.assert_array_equal(second.gt_scores,
                                       first.gt_scores + 1.0)
 
-    def test_conditions_required_when_requested(self):
-        ex = tiny_pairs(1)[0]  # generated without a condition sequence
-        with pytest.raises(ConfigurationError):
-            pad_batch([ex], use_conditions=True)
+    def test_conditions_go_along_and_the_model_decides(self):
+        pairs = tiny_pairs(2)  # generated without condition sequences
+        pairs[1].condition = ShotSequence("c", np.ones((2, 16)), role="condition")
+        batch = pad_batch(pairs)
+        assert batch.conditions[0] is None
+        np.testing.assert_array_equal(batch.conditions[1], np.ones((2, 16)))
+        batch_loss(TrailerModel(SLIM, seed=0), batch)  # unconditioned: ignored
+        conditioned = TrailerModel(replace(SLIM, condition_mode="encoded"), seed=0)
+        with pytest.raises(ConfigurationError, match="movie 0 of the batch"):
+            batch_loss(conditioned, batch)
 
 
 class TestBatchLoss:
@@ -368,6 +379,8 @@ class TestTrainConfig:
         {"loss_weights": (1.0, 1.0)},
         {"loss_weights": (1.0, -1.0, 1.0)},
         {"warmup_frac": 1.0},
+        {"checkpoint_every": -1},
+        {"checkpoint_every": -2},
     ])
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -477,6 +490,17 @@ class TestTrain:
         ablated = with_overrides(SLIM, use_trailerness_encoder=False)
         result = train(pairs, cfg, ablated)
         assert result.history[0]["l_t"] == 0.0
+
+    @pytest.mark.parametrize("weights, model_cfg", [
+        ((0.0, 0.0, 0.0), SLIM),
+        ((1.0, 0.0, 0.0), with_overrides(SLIM, use_trailerness_encoder=False)),
+    ])
+    def test_weights_that_zero_every_computed_term_rejected(self, weights, model_cfg,
+                                                            tmp_path):
+        cfg = TrainConfig(epochs=1, batch_size=2, loss_weights=weights)
+        with pytest.raises(ConfigurationError, match="loss_weights"):
+            train(tiny_pairs(2), cfg, model_cfg, out_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
     def test_callback_sees_each_epoch_and_can_stop(self):
         pairs = tiny_pairs(2)
