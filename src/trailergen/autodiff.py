@@ -6,9 +6,16 @@ graph in reverse topological order and accumulates gradients into every
 tensor that has ``requires_grad`` set.  The graph is made of nodes, not
 tensors: a node holds its gradient, its parents' nodes and a closure that
 maps its gradient onto theirs, and the closure keeps only the arrays its
-backward reads (a ``matmul`` its operands, a ``relu`` its own output, an
+backward reads (a ``matmul`` its operands, a ``relu`` its boolean mask, an
 ``add`` shapes only).  So an op output that no backward reads is freed in
-the forward pass, as soon as the code that made it drops it.
+the forward pass, as soon as the code that made it drops it.  The output of
+a ``matmul`` of a kept operand, and of a ``relu`` of one, is not kept even
+where a backward reads it: its node carries a ``recompute`` that re-runs the
+forward's own expressions on arrays the graph keeps anyway, and the
+backwards that read it (``matmul``'s weight gradient,
+``multi_head_attention``'s q/k/v) call that instead (rematerialization,
+Chen et al. 2016).  So the graph of a transformer layer holds no q/k/v and
+no feed-forward hidden rows.
 
 Conventions used throughout the package:
 
@@ -188,9 +195,11 @@ class _Node:
     """A tensor's place in the graph: its gradient, its parents' nodes and
     the closure that maps its gradient onto theirs.  A leaf has no parents
     and no closure; a node that a backward walk has passed has ``parents``
-    None.  ``shape`` and ``dtype`` are the tensor's."""
+    None.  ``shape`` and ``dtype`` are the tensor's.  ``recompute``, when
+    set, returns the tensor's data anew, bit for bit, so a backward that
+    reads the data need not keep it (see ``_keep``)."""
 
-    __slots__ = ("grad", "parents", "backward_fn", "shape", "dtype")
+    __slots__ = ("grad", "parents", "backward_fn", "shape", "dtype", "recompute")
 
     def __init__(self, shape: tuple, dtype: np.dtype, parents: tuple = (), backward_fn=None):
         self.grad: np.ndarray | None = None
@@ -198,6 +207,7 @@ class _Node:
         self.backward_fn = backward_fn
         self.shape = shape
         self.dtype = dtype
+        self.recompute = None
 
     def accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
         """Add ``g`` into the gradient.
@@ -283,13 +293,14 @@ class Tensor:
 
         Without an explicit ``grad`` the tensor must be scalar.  The graph is
         walked iteratively (no recursion limit issues on long autoregressive
-        chains) and released as the walk goes: each node drops its parents
-        and backward closure, and with them the arrays the closure saved,
-        when the walk reaches it, and drops its gradient once its backward
-        has read it.  Only the root's and the leaves' gradients remain.  A
-        released graph cannot be walked again: a walk that reaches a node an
-        earlier walk released raises ``ValueError`` before any gradient
-        moves.
+        chains) and released as the walk goes: each node drops its parents,
+        backward closure and recompute, and with them the arrays they
+        saved, when the walk reaches it, and drops its gradient once its
+        backward has read it.  Every backward that calls a node's recompute
+        belongs to a node the walk reaches first.  Only the root's and the
+        leaves' gradients remain.  A released graph cannot be walked again:
+        a walk that reaches a node an earlier walk released raises
+        ``ValueError`` before any gradient moves.
         """
         root = self._node
         if root is None:
@@ -331,6 +342,7 @@ class Tensor:
                 continue  # a leaf keeps its gradient
             node.backward_fn = None
             node.parents = None
+            node.recompute = None
             backward_fn(node.grad)
             if node is not root:
                 node.grad = None
@@ -417,6 +429,16 @@ def _make(data: np.ndarray, parents: tuple, backward_fn, op: str) -> Tensor:
     return out
 
 
+def _keep(t: Tensor):
+    """A function that returns ``t``'s data, for a backward that reads it:
+    the node's recompute when it has one, so the graph keeps no array."""
+    node = t._node
+    if node is not None and node.recompute is not None:
+        return node.recompute
+    data = t.data
+    return lambda: data
+
+
 # --------------------------------------------------------------------------
 # primitive operations
 # --------------------------------------------------------------------------
@@ -476,47 +498,63 @@ def exp(a) -> Tensor:
     return _make(data, (a,), backward, "exp")
 
 
+def _affine(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
+    """``x @ w`` with ``bias`` added in place into the fresh product (or
+    out of place when the sum would widen its dtype)."""
+    data = x @ w
+    if bias is not None:
+        if np.result_type(data, bias) == data.dtype:
+            data += bias
+        else:
+            data = data + bias
+    return data
+
+
 def matmul(a, b, bias=None) -> Tensor:
     """Batched matrix product plus an optional ``bias`` row added to every
     row of it; both operands must be at least 2-D.
 
     The bias is added in place into the fresh product, so a linear map is
     one graph node that keeps no pre-bias product alive, with the bits and
-    the dtype that ``add(matmul(a, b), bias)`` would give.
+    the dtype that ``add(matmul(a, b), bias)`` would give.  Unless ``a``
+    is itself recomputed, the node's recompute re-runs the product from the
+    operands its backward keeps.
     """
     a, b = _pair(a, b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul requires 2-D+ operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    data = a.data @ b.data
     operands = (a, b)
-    nbias = None
+    nbias = bias_data = None
     if bias is not None:
         if not isinstance(bias, Tensor):
-            bias = Tensor(bias, dtype=data.dtype)
-        if bias.shape != data.shape[-1:]:
+            bias = Tensor(bias, dtype=np.result_type(a.data, b.data))
+        if bias.shape != b.shape[-1:]:
             raise ShapeError(f"matmul bias of shape {bias.shape} for a product of "
-                             f"shape {data.shape}")
-        if np.result_type(data, bias.data) == data.dtype:
-            data += bias.data
-        else:
-            data = data + bias.data
+                             f"{a.shape} @ {b.shape}")
         operands = (a, b, bias)
-        nbias = bias._node
+        nbias, bias_data = bias._node, bias.data
+    w = b.data
+    data = _affine(a.data, w, bias_data)
     na, nb = a._node, b._node
-    x, w = a.data, b.data
+    x = _keep(a)
 
     def backward(g):
         # both products are fresh arrays that only their operand receives
         if na is not None:
             na.accumulate(_sum_to_shape(g @ w.swapaxes(-1, -2), na.shape), fresh=True)
         if nb is not None:
-            nb.accumulate(_sum_to_shape(x.swapaxes(-1, -2) @ g, nb.shape), fresh=True)
+            nb.accumulate(_sum_to_shape(x().swapaxes(-1, -2) @ g, nb.shape), fresh=True)
         if nbias is not None:
             nbias.accumulate(_sum_to_shape(g, nbias.shape))
 
-    return _make(data, operands, backward, "matmul")
+    out = _make(data, operands, backward, "matmul")
+    # the product of a recomputed operand gets no recompute, so none runs
+    # more than one product (a chain of them would recompute the chain)
+    if out._node is not None and (na is None or na.recompute is None):
+        out._node.recompute = lambda: _affine(x(), w, bias_data)
+    return out
 
 
 def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -622,12 +660,19 @@ def relu(a) -> Tensor:
     if _kink_watch is not None and a.data.size:
         _kink_watch.append(float(np.abs(a.data).min()))
     data = np.maximum(a.data, 0)
+    mask = None
 
     def backward(g):
-        # data > 0 exactly where the input is, so the input need not be kept
-        na.accumulate(g * (data > 0))
+        na.accumulate(g * mask)
 
-    return _make(data, (a,), backward, "relu")
+    out = _make(data, (a,), backward, "relu")
+    if out._node is not None:
+        # data > 0 exactly where the input is, so neither need be kept
+        mask = data > 0
+        if na.recompute is not None:
+            pre = na.recompute
+            out._node.recompute = lambda: np.maximum(pre(), 0)
+    return out
 
 
 def _mask_bias(mask, shape: tuple, axis: int, dtype) -> np.ndarray:
@@ -656,7 +701,18 @@ def _softmax_inplace(z: np.ndarray, axis: int, stats: tuple | None = None) -> tu
     Given the ``stats`` an earlier call returned for the same ``z``, the call
     uses them in place of new reductions and writes that call's exact bits.
     """
-    hi, total = stats if stats is not None else (z.max(axis=axis, keepdims=True), None)
+    if stats is None:
+        # a max is exact in any order, so gathering at the argmax gives the
+        # bits of ``z.max``.  It pays from about 64 rows on (41 against 75 us
+        # on [1, 4, 202, 202]); below, as in a decode step, its fixed cost
+        # of about 5 us outweighs the max's per-row cost
+        if z.size >= 64 * z.shape[axis]:
+            hi = np.take_along_axis(z, z.argmax(axis, keepdims=True), axis)
+        else:
+            hi = z.max(axis=axis, keepdims=True)
+        total = None
+    else:
+        hi, total = stats
     z -= hi
     np.exp(z, out=z)
     if total is None:
@@ -791,7 +847,8 @@ def multi_head_attention(q, k, v, num_heads: int, mask: np.ndarray | None = None
     forward keeps each row's softmax max and sum ([..., H, L_q, 1] each), and
     backward recomputes each block's weights from them with the forward's
     own operations, so they are bit-identical (FlashAttention's recompute,
-    Dao et al. 2022).
+    Dao et al. 2022).  Nor does it keep ``q``, ``k`` or ``v`` when their
+    nodes can recompute them: backward reads them through ``_keep``.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     d = q.shape[-1]
@@ -838,8 +895,10 @@ def multi_head_attention(q, k, v, num_heads: int, mask: np.ndarray | None = None
 
     # v, q, k: the order in which the gradients reach a shared operand
     nodes = (v._node, q._node, k._node)
+    kept = (_keep(q), _keep(k), _keep(v))
 
     def backward(g):
+        qh, kh, vh = (split(read()) for read in kept)
         gh, oh = split(g), split(data)
         grads = [None if node is None else np.empty(node.shape, data.dtype)
                  for node in nodes]

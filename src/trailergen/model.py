@@ -112,13 +112,16 @@ class TrailerModel(Module):
         memory = self.context(fused, key_mask) if self.context is not None else fused
         return EncodeResult(memory=memory, valid=valid, scores=scores)
 
-    def attach_condition(self, enc: EncodeResult, conditions) -> tuple[Tensor, np.ndarray]:
+    def attach_condition(self, enc: EncodeResult, conditions,
+                         first: int = 0) -> tuple[Tensor, np.ndarray]:
         """Append condition rows to the memory as extra cross-attention keys.
 
         The one place that decides what a pass is fed: an unconditioned
         model ignores ``conditions``, and a conditioned one needs one
         [Lc, d_model] array per movie of ``enc``, such as embedded plot
-        summaries, so a None condition is a ``ConfigurationError``.  Returns
+        summaries, so a None condition is a ``ConfigurationError``, which
+        names the movie by its index in the caller's batch: ``first`` is the
+        index of ``enc``'s movie 0 there.  Returns
         the merged memory and its validity mask.  Empty [0, d_model] rows
         are the explicit unconditioned pass: the memory comes back untouched.
         """
@@ -131,8 +134,9 @@ class TrailerModel(Module):
         missing = [i for i, c in enumerate(conditions) if c is None]
         if missing:
             raise ConfigurationError(
-                f"the model is conditioned, but movie {missing[0]} of the batch has no "
-                f"condition rows; pass [0, {self.cfg.d_model}] rows for an unconditioned pass")
+                f"the model is conditioned, but movie {first + missing[0]} of the batch has "
+                f"no condition rows; pass [0, {self.cfg.d_model}] rows for an unconditioned "
+                f"pass")
         arrays = [as_embedding_array(c) for c in conditions]
         if any(a.ndim != 2 for a in arrays):
             raise ShapeError(f"conditions must be [Lc, d] rows, got shapes "
@@ -218,8 +222,9 @@ class TrailerModel(Module):
         decoded, group, rows = [], [], 0
         copies = 1 + 2 * len(self.decoder.layers)
         with ad.no_grad():
-            for movie, condition in zip(arrays, conditions):
-                memory, _ = self.attach_condition(self.encode_batch([movie]), [condition])
+            for i, (movie, condition) in enumerate(zip(arrays, conditions)):
+                memory, _ = self.attach_condition(self.encode_batch([movie]), [condition],
+                                                  first=i)
                 memory = memory.data[0]
                 rows = max(rows, memory.shape[0])
                 padded = copies * (len(group) + 1) * rows * memory.shape[1] * memory.itemsize

@@ -380,16 +380,17 @@ def save_checkpoint(path, model: TrailerModel, optimizer: AdamW | None,
             entries.append((f"optim.m:{name}", m))
             entries.append((f"optim.v:{name}", v))
 
+    # each array is written from its own buffer (a copy only when it is not
+    # C-contiguous little-endian), so a save holds no second checkpoint
     table = []
     offset = 0
-    blobs = []
+    arrays = []
     for name, arr in entries:
         arr = np.ascontiguousarray(arr)
-        blob = arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()
         table.append({"name": name, "shape": list(arr.shape),
                       "dtype": str(arr.dtype), "offset": offset})
-        offset += len(blob)
-        blobs.append(blob)
+        offset += arr.nbytes
+        arrays.append(arr)
 
     header = {
         "version": 1,
@@ -417,8 +418,8 @@ def save_checkpoint(path, model: TrailerModel, optimizer: AdamW | None,
             fh.write(_CKPT_MAGIC)
             fh.write(struct.pack("<I", len(head)))
             fh.write(head)
-            for blob in blobs:
-                fh.write(blob)
+            for arr in arrays:
+                fh.write(arr.astype(arr.dtype.newbyteorder("<"), copy=False).reshape(-1).data)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -434,27 +435,32 @@ def save_checkpoint(path, model: TrailerModel, optimizer: AdamW | None,
 
 
 def load_checkpoint(path) -> CheckpointData:
-    raw = Path(path).read_bytes()
-    if raw[:8] != _CKPT_MAGIC:
-        raise ValueError(f"{path} is not a checkpoint (bad magic)")
-    if len(raw) < 12:
-        raise ValueError(f"{path} is truncated: {len(raw)} bytes, shorter than the preamble")
-    head_len = struct.unpack("<I", raw[8:12])[0]
-    if 12 + head_len > len(raw):
-        raise ValueError(f"{path} is truncated: its {head_len}-byte header runs past the end")
-    header = json.loads(raw[12:12 + head_len].decode())
-    if header.get("version") != 1:
-        raise ValueError(f"unsupported checkpoint version {header.get('version')}")
-    payload = raw[12 + head_len:]
-    if len(payload) != header["payload_bytes"]:
-        raise ValueError("checkpoint payload is truncated")
+    """Read a checkpoint's header, then its payload into one buffer; the
+    returned arrays are views into that buffer."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        preamble = fh.read(12)
+        if preamble[:8] != _CKPT_MAGIC:
+            raise ValueError(f"{path} is not a checkpoint (bad magic)")
+        if len(preamble) < 12:
+            raise ValueError(f"{path} is truncated: {size} bytes, shorter than the preamble")
+        head_len = struct.unpack("<I", preamble[8:12])[0]
+        if 12 + head_len > size:
+            raise ValueError(f"{path} is truncated: its {head_len}-byte header runs past the end")
+        header = json.loads(fh.read(head_len).decode())
+        if header.get("version") != 1:
+            raise ValueError(f"unsupported checkpoint version {header.get('version')}")
+        if size - 12 - head_len != header["payload_bytes"]:
+            raise ValueError("checkpoint payload is truncated")
+        payload = np.empty(header["payload_bytes"], dtype=np.uint8)
+        if fh.readinto(payload) != payload.size:
+            raise ValueError("checkpoint payload is truncated")
     arrays = {}
     for entry in header["params"]:
         dtype = np.dtype(entry["dtype"])
         count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        start = entry["offset"]
-        arr = np.frombuffer(payload, dtype=dtype, count=count, offset=start)
-        arrays[entry["name"]] = arr.reshape(entry["shape"]).copy()
+        arr = np.frombuffer(payload, dtype=dtype, count=count, offset=entry["offset"])
+        arrays[entry["name"]] = arr.reshape(entry["shape"])
     opt = header.get("optimizer") or {}
     train_values = {key: value for key, value in header["train_config"].items()
                     if key not in DERIVED_TRAIN_KEYS}

@@ -127,6 +127,29 @@ def test_softmax_masked_entries_get_zero_gradient():
     assert x.grad[1] == 0.0
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", [6, 24])  # 36 rows take the max, 144 the gather
+def test_softmax_row_max_and_weights_equal_the_max_form(dtype, rows):
+    # scores as attention hands them over: masked entries at -inf, tied
+    # maxima (also of signed zeros) and rows of one visible entry
+    rng = np.random.default_rng(14)
+    z = rng.standard_normal((2, 3, rows, 9)).astype(dtype)
+    z[..., 4] = z[..., 7] = z.max(axis=-1)
+    z[0, :, :, ::2] = -np.inf
+    z[1, 0, 0] = [-0.0, 0.0, -1.0, -0.0, -np.inf, 0.0, -2.0, -0.0, 0.0]
+    z[1, 1, :, 1:] = -np.inf
+    got = z.copy()
+    hi, total = ad._softmax_inplace(got, -1)
+    want_hi = z.max(axis=-1, keepdims=True)
+    want = z - want_hi
+    np.exp(want, out=want)
+    want_total = want.sum(axis=-1, keepdims=True)
+    want /= want_total
+    assert np.array_equal(hi, want_hi) and hi.dtype == dtype
+    assert total.tobytes() == want_total.tobytes()
+    assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # layer_norm
 # ---------------------------------------------------------------------------
@@ -822,7 +845,29 @@ def test_backward_keeps_only_root_and_leaf_gradients():
     assert hidden.grad is None and out.grad is None
     assert loss.grad is not None and x.grad is not None and w.grad is not None
     for node in (hidden._node, out._node, loss._node):
-        assert node.parents is None and node.backward_fn is None
+        assert node.parents is None and node.backward_fn is None and node.recompute is None
+
+
+def test_backward_drops_every_recompute():
+    # hidden and act are not kept: the backwards that read them recompute
+    # them from pre, which the graph keeps until the walk has passed them
+    rng = np.random.default_rng(15)
+    x = t64(rng.standard_normal((4, 6)), requires_grad=True)
+    w1, w2 = (Parameter(rng.standard_normal(shape), dtype=np.float64)
+              for shape in ((6, 5), (5, 3)))
+    pre = ad.mul(x, 2.0)
+    pre_data = weakref.ref(pre.data)
+    hidden = ad.matmul(pre, w1)
+    act = ad.relu(hidden)
+    loss = ad.tensor_sum(ad.matmul(act, w2))
+    del pre
+    assert hidden._node.recompute is not None and act._node.recompute is not None
+    assert act._node.recompute().tobytes() == act.data.tobytes()
+    loss.backward()
+    assert pre_data() is None  # nothing holds a recompute that reads it
+    assert hidden._node.recompute is None and act._node.recompute is None
+    with pytest.raises(ValueError, match="released"):
+        loss.backward()
 
 
 def test_deep_chain_does_not_hit_recursion_limit():
@@ -832,6 +877,20 @@ def test_deep_chain_does_not_hit_recursion_limit():
         y = ad.add(y, 0.0)
     ad.tensor_sum(y).backward()
     assert x.grad[0] == 1.0
+
+
+def test_chain_of_products_recomputes_one_product_at_a_time():
+    # every other product is kept, so a recompute runs one product and a
+    # deep chain neither recurses through the chain nor recomputes it
+    x = t64(np.ones((1, 2)), requires_grad=True)
+    w = Parameter(np.eye(2), dtype=np.float64)
+    ys = [x]
+    for _ in range(3000):
+        ys.append(ad.relu(ad.matmul(ys[-1], w)))
+    assert [y._node.recompute is None for y in ys[1:5]] == [False, True, False, True]
+    ad.tensor_sum(ys[-1]).backward()
+    assert np.array_equal(x.grad, [[1.0, 1.0]])
+    assert np.array_equal(w.grad, np.full((2, 2), 3000.0))
 
 
 def test_parameter_naming_walks_nested_modules():

@@ -127,13 +127,18 @@ class TestModelConditioning:
         assert not np.array_equal(plain.all_predictions, steered.all_predictions)
 
     def test_decode_without_a_condition_raises(self):
+        # each movie is conditioned alone; the error names its index in the
+        # caller's list
         model = conditioned()
         rng = np.random.default_rng(5)
-        movies = [rng_movie(rng, 9), rng_movie(rng, 6)]
-        with pytest.raises(ConfigurationError, match="conditioned"):
+        movies = [rng_movie(rng, 9), rng_movie(rng, 6), rng_movie(rng, 7)]
+        rows = np.ones((2, 16))
+        with pytest.raises(ConfigurationError, match="conditioned, but movie 0 of the batch"):
             model.generate(movies[0], max_len=4)
-        for conditions in (None, [np.ones((2, 16)), None]):
-            with pytest.raises(ConfigurationError, match="conditioned"):
+        for conditions, missing in ((None, 0), ([rows, None, rows], 1),
+                                    ([rows, rows, None], 2)):
+            with pytest.raises(ConfigurationError,
+                               match=f"conditioned, but movie {missing} of the batch"):
                 model.generate_batch(movies, conditions, max_len=4)
 
     def test_conditioned_weights_match_unconditioned_base(self):

@@ -1,5 +1,6 @@
 """The linear layer: its initial weights (values and the memory used to draw
-them) and its graph node; the arrays an encoder layer's graph keeps."""
+them) and its graph node; the arrays an encoder layer's graph keeps, and the
+gradients of layers whose backward recomputes their projections."""
 
 import tracemalloc
 
@@ -9,7 +10,8 @@ import pytest
 from trailergen import autodiff as ad
 from trailergen import layers
 from trailergen.autodiff import Tensor
-from trailergen.layers import EncoderLayer, Linear, xavier_uniform
+from trailergen.layers import (DecoderLayer, EncoderLayer, FeedForward, Linear,
+                               MultiHeadAttention, xavier_uniform)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -62,8 +64,74 @@ def test_encoder_layer_graph_keeps_only_what_backward_reads():
     finally:
         tracemalloc.stop()
     assert out.dtype == np.float32
-    # kept, [8, 202, d] each: q, k, v and the attention output, both layer
-    # norms' normed values and outputs, plus the [8, 202, ff] relu output.
-    # The wo and lin2 outputs, the two residual sums and the lin1
-    # pre-activation (4 * act + ff / d * act more) are freed in forward.
-    assert graph < (8 + ff // d) * act + act // 2
+    # kept, [8, 202, d] each: the attention output and both layer norms'
+    # normed values and outputs, plus the [8, 202, ff] boolean relu mask.
+    # q, k and v, the wo and lin2 outputs, the two residual sums and the
+    # lin1 and relu outputs (7 * act + 2 * ff / d * act more) are freed in
+    # forward: backward recomputes the projections it reads.
+    assert graph < 5 * act + ff // d * act // 4 + act // 2
+
+
+def _gradients(layer, build, inputs, probe):
+    """The gradients of ``sum(build(layer, *inputs) * probe)`` over the
+    inputs and the layer's parameters, as bytes."""
+    tensors = list(inputs) + layer.parameters()
+    for t in tensors:
+        t.grad = None
+    ad.tensor_sum(ad.mul(build(layer, *inputs), probe)).backward()
+    return [t.grad.tobytes() for t in tensors]
+
+
+def _key_padding(b, lk):
+    return ad.padding_mask([lk, lk - 2, 1][:b], lk)[:, None, None, :]
+
+
+RECOMPUTED_LAYERS = {
+    "self_attention": (
+        lambda rng: MultiHeadAttention(8, 2, rng), 1,
+        lambda layer, x: layer(x, x, x, ad.causal_mask(5)[None, None] & _key_padding(3, 5))),
+    "cross_attention": (
+        lambda rng: MultiHeadAttention(8, 2, rng), 2,
+        lambda layer, x, m: layer(x, m, m, _key_padding(3, 7))),
+    "feed_forward": (lambda rng: FeedForward(8, 16, rng), 1, lambda layer, x: layer(x)),
+    "decoder_layer": (
+        lambda rng: DecoderLayer(8, 2, 16, rng), 2,
+        lambda layer, x, m: layer(x, m, ad.causal_mask(5), _key_padding(3, 7))),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("blocks", ["one", "per_row"])
+@pytest.mark.parametrize("case", sorted(RECOMPUTED_LAYERS))
+def test_recomputed_projections_give_the_kept_outputs_gradients(monkeypatch, case, blocks,
+                                                                dtype):
+    make, arity, build = RECOMPUTED_LAYERS[case]
+    if blocks == "per_row":
+        monkeypatch.setattr(ad, "_ATTENTION_BLOCK_BYTES", 1)
+    rng = np.random.default_rng(9)
+    with ad.precision(dtype):
+        layer = make(rng)
+        inputs = [Tensor(rng.standard_normal(shape), requires_grad=True)
+                  for shape in [(3, 5, 8), (3, 7, 8)][:arity]]
+    probe = rng.standard_normal((3, 5, 8)).astype(dtype)
+    recomputed = _gradients(layer, build, inputs, probe)
+    project = Linear.__call__
+
+    def kept_projection(self, x):
+        # an identity op has no recompute, so each backward that reads the
+        # projection reads the array the graph kept
+        out = project(self, x)
+        return ad.reshape(out, out.shape)
+
+    monkeypatch.setattr(Linear, "__call__", kept_projection)
+    assert recomputed == _gradients(layer, build, inputs, probe)
+
+
+def test_projections_carry_a_recompute_only_in_a_recorded_graph():
+    ff = FeedForward(4, 6, np.random.default_rng(10))
+    x = Tensor(np.ones((2, 4)), requires_grad=True)
+    hidden = ff.lin1(x)
+    assert hidden._node.recompute is not None
+    assert ad.relu(hidden)._node.recompute is not None
+    with ad.no_grad():
+        assert ff.lin1(x)._node is None

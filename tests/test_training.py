@@ -7,6 +7,7 @@ import math
 import os
 import stat
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,7 @@ import oracles
 from trailergen import autodiff as ad
 from trailergen import training
 from trailergen.autodiff import ConfigurationError, Parameter
-from trailergen.config import ModelConfig, with_overrides
+from trailergen.config import ModelConfig, preset, with_overrides
 from trailergen.model import TrailerModel
 from trailergen.shots import ShotSequence, trailerness_ground_truth
 from trailergen.synthetic import GeneratorConfig, PairExample, generate_pair
@@ -288,6 +289,26 @@ class TestBatchLoss:
         assert set(d) == {"l_t", "l_rec", "l_kl", "total"}
         assert d["total"] > 0.0
 
+    def test_desk_batch_graph_keeps_no_projection_output(self):
+        # eight 200-shot desk movies (L 202) with 24-shot trailers, the
+        # longest benchmark batch.  Backward recomputes q/k/v, the memory's
+        # cross-attention K/V and the feed-forward hidden rows, so the graph
+        # keeps none of them: 28.8 MiB when it kept them
+        gen = GeneratorConfig(n_range=(200, 200), m_range=(24, 24), seed=5)
+        batch = pad_batch([PairExample(f"p{i}", *generate_pair(gen, 5 + i))
+                           for i in range(8)])
+        model = TrailerModel(preset("desk"), seed=0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss, _ = batch_loss(model, batch)
+            graph = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert graph < 15 * 2**20
+        loss.backward()
+        assert all(np.isfinite(p.grad).all() for p in model.parameters())
+
 
 # --------------------------------------------------------------------------
 # shuffling and decode cap
@@ -553,6 +574,34 @@ class TestCheckpoint:
                         ck.model_config, ck.step, ck.data_fingerprint,
                         extras=ck.extras)
         assert second_path.read_bytes() == first
+
+    def test_save_and_load_hold_no_second_payload(self, tmp_path):
+        # a desk model and its AdamW moments: a 5 MB payload.  Save writes
+        # each array from its own buffer; load reads the payload into one
+        # buffer and returns views, which restore copies once into the model
+        cfg = preset("desk")
+        model = TrailerModel(cfg, seed=0)
+        optimizer = AdamW(model.parameters())
+        path = tmp_path / "model.ckpt"
+        tracemalloc.start()
+        try:
+            save_checkpoint(path, model, optimizer, TrainConfig(), cfg, 0)
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            ck = load_checkpoint(path)
+            load_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert save_peak < size // 4  # the JSON header takes 0.9 MB to build
+        assert load_peak < size + size // 10
+        assert not any(arr.flags.owndata for arr in ck.arrays.values())
+        restored, optimizer = restore_model_and_optimizer(ck)
+        for name, p in restored.named_parameters():
+            assert p.data.flags.owndata and p.data.flags.writeable, name
+            np.testing.assert_array_equal(p.data, ck.arrays[name], err_msg=name)
+        assert all(m.flags.owndata for m in optimizer.m + optimizer.v)
 
     def test_restore_matches_trained_parameters(self, tmp_path):
         pairs = tiny_pairs(2)
