@@ -538,7 +538,7 @@ def matmul(a, b, bias=None) -> Tensor:
     w = b.data
     data = _affine(a.data, w, bias_data)
     na, nb = a._node, b._node
-    x = _keep(a)
+    x = None
 
     def backward(g):
         # both products are fresh arrays that only their operand receives
@@ -550,10 +550,12 @@ def matmul(a, b, bias=None) -> Tensor:
             nbias.accumulate(_sum_to_shape(g, nbias.shape))
 
     out = _make(data, operands, backward, "matmul")
-    # the product of a recomputed operand gets no recompute, so none runs
-    # more than one product (a chain of them would recompute the chain)
-    if out._node is not None and (na is None or na.recompute is None):
-        out._node.recompute = lambda: _affine(x(), w, bias_data)
+    if out._node is not None:
+        x = _keep(a)
+        # the product of a recomputed operand gets no recompute, so none
+        # runs more than one product (a chain would recompute the chain)
+        if na is None or na.recompute is None:
+            out._node.recompute = lambda: _affine(x(), w, bias_data)
     return out
 
 
@@ -895,7 +897,7 @@ def multi_head_attention(q, k, v, num_heads: int, mask: np.ndarray | None = None
 
     # v, q, k: the order in which the gradients reach a shared operand
     nodes = (v._node, q._node, k._node)
-    kept = (_keep(q), _keep(k), _keep(v))
+    kept = None
 
     def backward(g):
         qh, kh, vh = (split(read()) for read in kept)
@@ -924,7 +926,10 @@ def multi_head_attention(q, k, v, num_heads: int, mask: np.ndarray | None = None
             if grad is not None:
                 node.accumulate(grad, fresh=True)
 
-    return _make(data, (q, k, v), backward, "attention")
+    out = _make(data, (q, k, v), backward, "attention")
+    if out._node is not None:
+        kept = (_keep(q), _keep(k), _keep(v))
+    return out
 
 
 # --------------------------------------------------------------------------
