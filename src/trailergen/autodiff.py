@@ -705,13 +705,8 @@ def _softmax_inplace(z: np.ndarray, axis: int, stats: tuple | None = None) -> tu
     """
     if stats is None:
         # a max is exact in any order, so gathering at the argmax gives the
-        # bits of ``z.max``.  It pays from about 64 rows on (41 against 75 us
-        # on [1, 4, 202, 202]); below, as in a decode step, its fixed cost
-        # of about 5 us outweighs the max's per-row cost
-        if z.size >= 64 * z.shape[axis]:
-            hi = np.take_along_axis(z, z.argmax(axis, keepdims=True), axis)
-        else:
-            hi = z.max(axis=axis, keepdims=True)
+        # bits of ``z.max`` with a cheaper per-row reduction
+        hi = np.take_along_axis(z, z.argmax(axis, keepdims=True), axis)
         total = None
     else:
         hi, total = stats

@@ -128,7 +128,7 @@ def test_softmax_masked_entries_get_zero_gradient():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("rows", [6, 24])  # 36 rows take the max, 144 the gather
+@pytest.mark.parametrize("rows", [1, 24])  # a decode step and a block of rows
 def test_softmax_row_max_and_weights_equal_the_max_form(dtype, rows):
     # scores as attention hands them over: masked entries at -inf, tied
     # maxima (also of signed zeros) and rows of one visible entry
