@@ -291,16 +291,17 @@ class Tensor:
     def backward(self, grad=None) -> None:
         """Backpropagate from this tensor through the recorded graph.
 
-        Without an explicit ``grad`` the tensor must be scalar.  The graph is
-        walked iteratively (no recursion limit issues on long autoregressive
-        chains) and released as the walk goes: each node drops its parents,
-        backward closure and recompute, and with them the arrays they
-        saved, when the walk reaches it, and drops its gradient once its
-        backward has read it.  Every backward that calls a node's recompute
-        belongs to a node the walk reaches first.  Only the root's and the
-        leaves' gradients remain.  A released graph cannot be walked again:
-        a walk that reaches a node an earlier walk released raises
-        ``ValueError`` before any gradient moves.
+        Without an explicit ``grad`` the tensor must be scalar; an explicit
+        ``grad`` must have the tensor's shape.  The graph is walked
+        iteratively (no recursion limit issues on long autoregressive chains)
+        and released as the walk goes: each node drops its parents, backward
+        closure and recompute, and with them the arrays they saved, when the
+        walk reaches it, and drops its gradient once its backward has read
+        it.  Every backward that calls a node's recompute belongs to a node
+        the walk reaches first.  Only the root's and the leaves' gradients
+        remain.  A released graph cannot be walked again: a walk that reaches
+        a node an earlier walk released raises ``ValueError`` before any
+        gradient moves.
         """
         root = self._node
         if root is None:
@@ -311,6 +312,9 @@ class Tensor:
             grad = np.ones_like(self.data)
         else:
             grad = np.asarray(grad, dtype=self.data.dtype)
+            if grad.shape != self.shape:
+                raise ShapeError(f"backward() gradient of shape {grad.shape} for a "
+                                 f"tensor of shape {self.shape}")
 
         # iterative post-order DFS
         order: list[_Node] = []
@@ -647,8 +651,8 @@ def sigmoid(a) -> Tensor:
     na = a._node
     x = a.data
     # split by sign to stay stable for large |x|
-    data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def backward(g):
         na.accumulate(g * data * (1.0 - data))
@@ -726,10 +730,8 @@ def softmax(a, axis: int = -1, mask: np.ndarray | None = None) -> Tensor:
     """
     a = as_tensor(a)
     na = a._node
-    if mask is None:
-        data = a.data - a.data.max(axis=axis, keepdims=True)
-    else:
-        data = a.data + _mask_bias(mask, a.shape, axis, a.dtype)
+    data = (a.data.copy() if mask is None
+            else a.data + _mask_bias(mask, a.shape, axis, a.dtype))
     _softmax_inplace(data, axis)
 
     def backward(g):
@@ -839,13 +841,17 @@ def multi_head_attention(q, k, v, num_heads: int, mask: np.ndarray | None = None
     copies: each [L, dk] head slice has unit column stride and row stride
     d, which numpy's matmul hands to BLAS as it is, so ``q``/``k``/``v``
     may themselves be views, such as the filled rows of a decode cache.
-    Forward and backward run over blocks of the first leading axis, sized by
-    ``_ATTENTION_BLOCK_BYTES``.  The graph keeps no [..., H, L_q, L_k] array:
-    forward keeps each row's softmax max and sum ([..., H, L_q, 1] each), and
-    backward recomputes each block's weights from them with the forward's
-    own operations, so they are bit-identical (FlashAttention's recompute,
-    Dao et al. 2022).  Nor does it keep ``q``, ``k`` or ``v`` when their
-    nodes can recompute them: backward reads them through ``_keep``.
+    Forward and backward run over one block plan: the whole call when its
+    scores fit in ``_ATTENTION_BLOCK_BYTES`` or there is no leading axis to
+    cut, else blocks of rows of the first leading axis whose scores fit (one
+    row, if a row takes more).  Every block writes its rows into the
+    head-split view of one output array.  The graph keeps no
+    [..., H, L_q, L_k] array: forward keeps each row's softmax max and sum
+    ([..., H, L_q, 1] each), and backward recomputes each block's weights
+    from them with the forward's own operations, so they are bit-identical
+    (FlashAttention's recompute, Dao et al. 2022).  Nor does it keep ``q``,
+    ``k`` or ``v`` when their nodes can recompute them: backward reads them
+    through ``_keep``.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     d = q.shape[-1]
@@ -860,34 +866,26 @@ def multi_head_attention(q, k, v, num_heads: int, mask: np.ndarray | None = None
     def split(x: np.ndarray) -> np.ndarray:  # [..., L, d] -> [..., H, L, dk] view
         return x.reshape(x.shape[:-1] + (num_heads, dk)).swapaxes(-2, -3)
 
-    def merge(x: np.ndarray) -> np.ndarray:  # [..., H, L, dk] -> [..., L, d]
-        lead = x.shape[:-3] + (x.shape[-2], d)
-        return x.swapaxes(-3, -2).reshape(lead)
-
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     scores_shape = qh.shape[:-1] + kh.shape[-2:-1]
     bias = None if mask is None else _mask_bias(mask, scores_shape, -1, qh.dtype)
     rows = scores_shape[0] if qh.ndim > 3 else 1
     scores_bytes = qh.size // dk * scores_shape[-1] * qh.itemsize
+    blocks = [slice(None)]  # scores that fit, or no batch axis to cut
+    if rows > 1 and scores_bytes > _ATTENTION_BLOCK_BYTES:
+        per_block = max(1, _ATTENTION_BLOCK_BYTES * rows // scores_bytes)
+        blocks = [slice(i, i + per_block) for i in range(0, rows, per_block)]
 
     def bias_rows(block):  # a mask row that every row shares is not sliced
         return bias if bias is None or bias.shape[0] == 1 else bias[block]
 
-    if rows == 1 or scores_bytes <= _ATTENTION_BLOCK_BYTES:
-        # one block: nothing is sliced, and the output merges from the heads
-        weights, stats = _attention_weights(qh, kh, bias, scale)
-        data = merge(weights @ vh)
-        blocks, stats = [...], [stats]
-    else:
-        per_block = max(1, _ATTENTION_BLOCK_BYTES * rows // scores_bytes)
-        blocks = [slice(i, i + per_block) for i in range(0, rows, per_block)]
-        data = np.empty(q.shape, np.result_type(qh, kh, vh))
-        out, stats = split(data), []
-        for block in blocks:
-            weights, block_stats = _attention_weights(qh[block], kh[block],
-                                                      bias_rows(block), scale)
-            out[block] = weights @ vh[block]
-            stats.append(block_stats)
+    data = np.empty(q.shape, np.result_type(qh, kh, vh))
+    out, stats = split(data), []
+    for block in blocks:
+        weights, block_stats = _attention_weights(qh[block], kh[block],
+                                                  bias_rows(block), scale)
+        out[block] = weights @ vh[block]
+        stats.append(block_stats)
     del weights
 
     # v, q, k: the order in which the gradients reach a shared operand

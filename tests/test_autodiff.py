@@ -684,6 +684,10 @@ def test_backward_requires_scalar_or_explicit_grad():
     y = ad.mul(x, 2.0)
     with pytest.raises(ShapeError):
         y.backward()
+    # a gradient that would broadcast to the output's shape is still refused
+    with pytest.raises(ShapeError, match=r"\(2,\).*\(2, 2\)"):
+        y.backward(np.ones(2))
+    assert x.grad is None
     y2 = ad.mul(x, 2.0)
     y2.backward(np.ones((2, 2)))
     assert np.array_equal(x.grad, np.full((2, 2), 2.0))
