@@ -398,11 +398,8 @@ def save_checkpoint(path, model: TrailerModel, optimizer: AdamW | None,
         "data_fingerprint": data_fingerprint,
         "model_config": model_cfg.to_dict(),
         "train_config": train_cfg.to_dict(),
-        "optimizer": None if optimizer is None else {
-            "kind": "adamw", "step": optimizer.step_count,
-            "beta1": optimizer.beta1, "beta2": optimizer.beta2,
-            "eps": optimizer.eps, "weight_decay": optimizer.weight_decay,
-        },
+        # AdamW's constants are the train config's; only the step is its own
+        "optimizer": None if optimizer is None else {"step": optimizer.step_count},
         "extras": extras or {},
         "params": table,
         "payload_bytes": offset,

@@ -677,15 +677,38 @@ class TestCheckpoint:
             load_checkpoint(clipped)
 
     @staticmethod
-    def _with_header_entries(path, model_entries, train_entries):
-        """Rewrite a checkpoint's JSON header with extra config entries."""
+    def _with_header_entries(path, model_entries, train_entries, optimizer_entries=()):
+        """Rewrite a checkpoint's JSON header with extra entries."""
         raw = path.read_bytes()
         head_len = struct.unpack("<I", raw[8:12])[0]
         header = json.loads(raw[12:12 + head_len])
         header["model_config"].update(model_entries)
         header["train_config"].update(train_entries)
+        header["optimizer"].update(optimizer_entries)
         head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
         path.write_bytes(raw[:8] + struct.pack("<I", len(head)) + head + raw[12 + head_len:])
+
+    def test_header_with_optimizer_constants_loads(self, tmp_path):
+        # headers once repeated AdamW's constants beside its step; nothing
+        # reads them, and a restore takes them from the train config
+        pairs = tiny_pairs(1)
+        cfg = TrainConfig(epochs=1, batch_size=1, lr_peak=1e-3, seed=2)
+        result = train(pairs, cfg, SLIM, out_dir=tmp_path)
+        path = result.checkpoint_path
+        raw = path.read_bytes()
+        self._with_header_entries(path, {}, {}, {
+            "kind": "adamw", "beta1": 0.5, "beta2": 0.5, "eps": 1.0, "weight_decay": 1.0})
+        assert path.read_bytes() != raw
+        ck = load_checkpoint(path)
+        assert ck.optimizer_step == result.optimizer.step_count
+        model, optimizer = restore_model_and_optimizer(ck)
+        assert (optimizer.beta1, optimizer.beta2, optimizer.eps, optimizer.weight_decay) == (
+            cfg.beta1, cfg.beta2, cfg.eps, cfg.weight_decay)
+        for (name, p), (_, q) in zip(model.named_parameters(),
+                                     result.model.named_parameters()):
+            np.testing.assert_array_equal(p.data, q.data, err_msg=name)
+        for m, n in zip(optimizer.m, result.optimizer.m):
+            np.testing.assert_array_equal(m, n)
 
     def test_retired_switches_at_their_old_defaults_load(self, tmp_path):
         # headers written before the switches were removed carry them
