@@ -23,7 +23,7 @@ from .shots import (INSERT_INDEX, ShotSequence, cosine_similarity,
 from .synthetic import (GeneratorConfig, PairExample, dataset_fingerprint,
                         generate_dataset, generate_pair, load_dataset)
 from .training import (AdamW, TrainConfig, TrainingDiverged, clip_gradients,
-                       load_checkpoint, lr_at_step, pad_batch,
+                       load_checkpoint, lr_at_step, pad_batch, restore_model,
                        restore_model_and_optimizer, save_checkpoint, train)
 
 __version__ = "0.1.0"

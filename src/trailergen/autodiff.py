@@ -6,16 +6,18 @@ graph in reverse topological order and accumulates gradients into every
 tensor that has ``requires_grad`` set.  The graph is made of nodes, not
 tensors: a node holds its gradient, its parents' nodes and a closure that
 maps its gradient onto theirs, and the closure keeps only the arrays its
-backward reads (a ``matmul`` its operands, a ``relu`` its boolean mask, an
+backward reads (a ``matmul`` its operands, a ``relu`` its mask as bits, an
 ``add`` shapes only).  So an op output that no backward reads is freed in
 the forward pass, as soon as the code that made it drops it.  The output of
-a ``matmul`` of a kept operand, and of a ``relu`` of one, is not kept even
-where a backward reads it: its node carries a ``recompute`` that re-runs the
-forward's own expressions on arrays the graph keeps anyway, and the
-backwards that read it (``matmul``'s weight gradient,
+a ``layer_norm``, of a ``matmul`` and of a ``relu`` of a recomputed input is
+not kept even where a backward reads it: its node carries a ``recompute``
+that re-runs the forward's own expressions on arrays the graph keeps anyway,
+and the backwards that read it (``matmul``'s weight gradient,
 ``multi_head_attention``'s q/k/v) call that instead (rematerialization,
-Chen et al. 2016).  So the graph of a transformer layer holds no q/k/v and
-no feed-forward hidden rows.
+Chen et al. 2016).  No recompute runs more than one matrix product: a
+``matmul`` gets none when its operand's recompute runs one.  So the graph of
+a transformer layer holds no layer-norm outputs, no q/k/v and no
+feed-forward hidden rows.
 
 Conventions used throughout the package:
 
@@ -197,9 +199,11 @@ class _Node:
     and no closure; a node that a backward walk has passed has ``parents``
     None.  ``shape`` and ``dtype`` are the tensor's.  ``recompute``, when
     set, returns the tensor's data anew, bit for bit, so a backward that
-    reads the data need not keep it (see ``_keep``)."""
+    reads the data need not keep it (see ``_keep``); ``runs_product`` says
+    whether it runs a matrix product."""
 
-    __slots__ = ("grad", "parents", "backward_fn", "shape", "dtype", "recompute")
+    __slots__ = ("grad", "parents", "backward_fn", "shape", "dtype", "recompute",
+                 "runs_product")
 
     def __init__(self, shape: tuple, dtype: np.dtype, parents: tuple = (), backward_fn=None):
         self.grad: np.ndarray | None = None
@@ -208,6 +212,7 @@ class _Node:
         self.shape = shape
         self.dtype = dtype
         self.recompute = None
+        self.runs_product = False
 
     def accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
         """Add ``g`` into the gradient.
@@ -520,9 +525,9 @@ def matmul(a, b, bias=None) -> Tensor:
 
     The bias is added in place into the fresh product, so a linear map is
     one graph node that keeps no pre-bias product alive, with the bits and
-    the dtype that ``add(matmul(a, b), bias)`` would give.  Unless ``a``
-    is itself recomputed, the node's recompute re-runs the product from the
-    operands its backward keeps.
+    the dtype that ``add(matmul(a, b), bias)`` would give.  Unless ``a``'s
+    recompute runs a product itself, the node's recompute re-runs the
+    product from the operands its backward keeps.
     """
     a, b = _pair(a, b)
     if a.ndim < 2 or b.ndim < 2:
@@ -556,10 +561,12 @@ def matmul(a, b, bias=None) -> Tensor:
     out = _make(data, operands, backward, "matmul")
     if out._node is not None:
         x = _keep(a)
-        # the product of a recomputed operand gets no recompute, so none
-        # runs more than one product (a chain would recompute the chain)
-        if na is None or na.recompute is None:
+        # no recompute runs more than one product (a chain would recompute
+        # the chain), so the product of an operand whose recompute runs one
+        # gets none
+        if na is None or not na.runs_product:
             out._node.recompute = lambda: _affine(x(), w, bias_data)
+            out._node.runs_product = True
     return out
 
 
@@ -669,15 +676,18 @@ def relu(a) -> Tensor:
     mask = None
 
     def backward(g):
-        na.accumulate(g * mask)
+        keep = np.unpackbits(mask, count=g.size).view(bool).reshape(g.shape)
+        na.accumulate(g * keep, fresh=True)
 
     out = _make(data, (a,), backward, "relu")
     if out._node is not None:
-        # data > 0 exactly where the input is, so neither need be kept
-        mask = data > 0
+        # data > 0 exactly where the input is, so neither need be kept: the
+        # mask is kept as bits, one per entry
+        mask = np.packbits(data > 0)
         if na.recompute is not None:
             pre = na.recompute
             out._node.recompute = lambda: np.maximum(pre(), 0)
+            out._node.runs_product = na.runs_product
     return out
 
 
@@ -758,20 +768,25 @@ def log_softmax(a, axis: int = -1) -> Tensor:
 
 
 def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
-    """Normalise over the last axis to zero mean / unit variance, then scale and shift."""
+    """Normalise over the last axis to zero mean / unit variance, then scale and shift.
+
+    The backward keeps the normalised values, and the node's recompute
+    scales and shifts them again with the forward's own expression, so the
+    graph keeps no output.
+    """
     a, gamma, beta = as_tensor(a), as_tensor(gamma), as_tensor(beta)
     d = a.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layer_norm scale/shift must have shape ({d},)")
     na, ngamma, nbeta = a._node, gamma._node, beta._node
-    scale = gamma.data
+    scale, shift = gamma.data, beta.data
     # sum / d gives .mean's bits without its Python-level wrapper
     mu = a.data.sum(axis=-1, keepdims=True) / d
     centered = a.data - mu
     var = (centered ** 2).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     normed = centered * inv
-    data = gamma.data * normed + beta.data
+    data = scale * normed + shift
 
     def backward(g):
         if na is not None:
@@ -784,7 +799,10 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
         if nbeta is not None:
             nbeta.accumulate(_sum_to_shape(g, nbeta.shape))
 
-    return _make(data, (a, gamma, beta), backward, "layer_norm")
+    out = _make(data, (a, gamma, beta), backward, "layer_norm")
+    if out._node is not None:
+        out._node.recompute = lambda: scale * normed + shift
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -28,8 +28,8 @@ from .metrics import align_gt, random_baseline, score_pairs
 from .model import TrailerModel
 from .shots import ShotSequence, read_sequence, write_sequence
 from .synthetic import GeneratorConfig, dataset_fingerprint, generate_dataset, load_dataset
-from .training import (TrainConfig, TrainingDiverged, load_checkpoint,
-                       restore_model_and_optimizer, train)
+from .training import (TrainConfig, TrainingDiverged, load_checkpoint, restore_model,
+                       train)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -266,9 +266,9 @@ def cmd_train(args) -> int:
 
 
 def _restore_model(checkpoint_path) -> tuple[TrailerModel, dict]:
+    """The checkpoint's model and extras; eval and infer read no AdamW moment."""
     ck = load_checkpoint(checkpoint_path)
-    model, _ = restore_model_and_optimizer(ck)
-    return model, ck.extras
+    return restore_model(ck), ck.extras
 
 
 def cmd_eval(args) -> int:

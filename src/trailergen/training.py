@@ -286,6 +286,7 @@ def train(examples: list[PairExample], cfg: TrainConfig, model_cfg: ModelConfig,
             raise ConfigurationError("checkpoints are epoch-aligned; cannot resume mid-epoch")
         start_epoch = ck.step // steps_per_epoch
         data_fingerprint = data_fingerprint or ck.data_fingerprint
+        del ck  # and with it the map of the payload, which the run has copied
     else:
         model = TrailerModel(model_cfg, seed=cfg.seed)
         optimizer = AdamW(model.parameters(), cfg.beta1, cfg.beta2, cfg.eps,
@@ -432,8 +433,9 @@ def save_checkpoint(path, model: TrailerModel, optimizer: AdamW | None,
 
 
 def load_checkpoint(path) -> CheckpointData:
-    """Read a checkpoint's header, then its payload into one buffer; the
-    returned arrays are views into that buffer."""
+    """Read a checkpoint's header and map its payload read-only; the
+    returned arrays are views into the map, so a reader pages in only the
+    arrays it reads."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         preamble = fh.read(12)
@@ -447,11 +449,13 @@ def load_checkpoint(path) -> CheckpointData:
         header = json.loads(fh.read(head_len).decode())
         if header.get("version") != 1:
             raise ValueError(f"unsupported checkpoint version {header.get('version')}")
-        if size - 12 - head_len != header["payload_bytes"]:
+        payload_bytes = header["payload_bytes"]
+        if size - 12 - head_len != payload_bytes:
             raise ValueError("checkpoint payload is truncated")
-        payload = np.empty(header["payload_bytes"], dtype=np.uint8)
-        if fh.readinto(payload) != payload.size:
-            raise ValueError("checkpoint payload is truncated")
+        # a map of length 0 is refused, and an empty payload has nothing to map
+        payload = (np.memmap(fh, dtype=np.uint8, mode="r", offset=12 + head_len,
+                             shape=(payload_bytes,))
+                   if payload_bytes else np.empty(0, dtype=np.uint8))
     arrays = {}
     for entry in header["params"]:
         dtype = np.dtype(entry["dtype"])
@@ -475,9 +479,10 @@ def load_checkpoint(path) -> CheckpointData:
     )
 
 
-def restore_model_and_optimizer(ck: CheckpointData) -> tuple[TrailerModel, AdamW]:
-    cfg = ck.train_config
-    model = TrailerModel(ck.model_config, seed=cfg.seed)
+def restore_model(ck: CheckpointData) -> TrailerModel:
+    """The checkpoint's model, each parameter a copy of its stored array;
+    no optimizer moment is read."""
+    model = TrailerModel(ck.model_config, seed=ck.train_config.seed)
     named = dict(model.named_parameters())
     stored = {n for n in ck.arrays if not n.startswith("optim.")}
     if stored != set(named):
@@ -486,6 +491,13 @@ def restore_model_and_optimizer(ck: CheckpointData) -> tuple[TrailerModel, AdamW
         raise ValueError(f"checkpoint/model parameter mismatch: missing={missing} extra={extra}")
     for name, p in named.items():
         p.data = ck.arrays[name].copy()
+    return model
+
+
+def restore_optimizer(ck: CheckpointData, model: TrailerModel) -> AdamW:
+    """AdamW over ``model``'s parameters with the checkpoint's step and a
+    copy of each stored moment."""
+    cfg = ck.train_config
     optimizer = AdamW(model.parameters(), cfg.beta1, cfg.beta2, cfg.eps, cfg.weight_decay)
     optimizer.step_count = ck.optimizer_step
     for i, (name, _) in enumerate(model.named_parameters()):
@@ -493,4 +505,9 @@ def restore_model_and_optimizer(ck: CheckpointData) -> tuple[TrailerModel, AdamW
         if m_key in ck.arrays:
             optimizer.m[i] = ck.arrays[m_key].copy()
             optimizer.v[i] = ck.arrays[v_key].copy()
-    return model, optimizer
+    return optimizer
+
+
+def restore_model_and_optimizer(ck: CheckpointData) -> tuple[TrailerModel, AdamW]:
+    model = restore_model(ck)
+    return model, restore_optimizer(ck, model)

@@ -184,6 +184,38 @@ def test_layer_norm_shape_check():
         ad.layer_norm(t64(np.ones((2, 4))), t64(np.ones(3)), t64(np.zeros(4)))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_norm_recompute_returns_the_output_bytes(dtype):
+    rng = np.random.default_rng(21)
+    with ad.precision(dtype):
+        x = Tensor(rng.standard_normal((3, 5, 16)), requires_grad=True)
+        gamma = Parameter(rng.standard_normal(16))
+        beta = Parameter(rng.standard_normal(16))
+    out = ad.layer_norm(x, gamma, beta)
+    again = out._node.recompute()
+    assert again is not out.data and again.dtype == out.dtype == dtype
+    assert again.tobytes() == out.data.tobytes()
+    assert not out._node.runs_product
+
+
+def test_products_of_a_layer_norm_output_carry_a_recompute():
+    # a layer-norm recompute runs no product, so the projections and the
+    # relu of one are recomputed, and the product of that relu is kept
+    rng = np.random.default_rng(22)
+    x = t64(rng.standard_normal((4, 6)), requires_grad=True)
+    gamma, beta = Parameter(np.ones(6), dtype=np.float64), Parameter(np.zeros(6), dtype=np.float64)
+    w1, w2 = (Parameter(rng.standard_normal(shape), dtype=np.float64)
+              for shape in ((6, 5), (5, 3)))
+    normed = ad.layer_norm(x, gamma, beta)
+    hidden = ad.matmul(normed, w1)
+    act = ad.relu(hidden)
+    out = ad.matmul(act, w2)
+    assert [t._node.runs_product for t in (normed, hidden, act)] == [False, True, True]
+    assert hidden._node.recompute().tobytes() == hidden.data.tobytes()
+    assert act._node.recompute().tobytes() == act.data.tobytes()
+    assert out._node.recompute is None and not out._node.runs_product
+
+
 # ---------------------------------------------------------------------------
 # attention core
 # ---------------------------------------------------------------------------
@@ -817,6 +849,25 @@ def test_relu_backward_reads_its_output_bit_for_bit(dtype):
     expected = (g * (values.reshape(2, 4) > 0)).reshape(-1)
     assert x.grad.dtype == dtype
     assert x.grad.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(2,), (7,), (3, 5, 9), (2, 16)])
+def test_relu_packed_mask_backward_equals_the_boolean_masks(dtype, shape):
+    # sizes that are and are not multiples of 8, and gradients with -0.0
+    # entries: the unpacked mask gives g * mask's bits, sign of zero included
+    rng = np.random.default_rng(23)
+    values = rng.standard_normal(shape).astype(dtype)
+    values.reshape(-1)[::3] = 0.0
+    g = rng.standard_normal(shape).astype(dtype)
+    g.reshape(-1)[1::4] = -0.0
+    x = Tensor(values, requires_grad=True, dtype=dtype)
+    out = ad.relu(ad.mul(x, 1.0))
+    out.backward(g)
+    expected = g * (values > 0)
+    assert x.grad.dtype == dtype
+    assert x.grad.tobytes() == expected.tobytes()
+    assert np.signbit(x.grad).any()
 
 
 def test_second_backward_through_released_graph_raises():

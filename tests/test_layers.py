@@ -1,6 +1,7 @@
 """The linear layer: its initial weights (values and the memory used to draw
 them) and its graph node; the arrays an encoder layer's graph keeps, and the
-gradients of layers whose backward recomputes their projections."""
+gradients of layers whose backward recomputes their projections and layer
+norm outputs."""
 
 import tracemalloc
 
@@ -10,7 +11,7 @@ import pytest
 from trailergen import autodiff as ad
 from trailergen import layers
 from trailergen.autodiff import Tensor
-from trailergen.layers import (DecoderLayer, EncoderLayer, FeedForward, Linear,
+from trailergen.layers import (DecoderLayer, EncoderLayer, FeedForward, LayerNorm, Linear,
                                MultiHeadAttention, xavier_uniform)
 
 
@@ -64,12 +65,14 @@ def test_encoder_layer_graph_keeps_only_what_backward_reads():
     finally:
         tracemalloc.stop()
     assert out.dtype == np.float32
-    # kept, [8, 202, d] each: the attention output and both layer norms'
-    # normed values and outputs, plus the [8, 202, ff] boolean relu mask.
-    # q, k and v, the wo and lin2 outputs, the two residual sums and the
-    # lin1 and relu outputs (7 * act + 2 * ff / d * act more) are freed in
-    # forward: backward recomputes the projections it reads.
-    assert graph < 5 * act + ff // d * act // 4 + act // 2
+    # kept, [8, 202, d] each: the attention output, both layer norms'
+    # normed values and the layer's output (which the caller holds), plus
+    # the [8, 202, ff] relu mask as bits, and softmax stats and the like.
+    # q, k and v, the wo and lin2 outputs, the two residual sums, the lin1
+    # and relu outputs and the first layer norm's output (8 * act + 2 * ff
+    # / d * act more) are freed in forward: backward recomputes the layer
+    # norm outputs and projections it reads.
+    assert graph < 4 * act + ff // d * act // 32 + act // 3
 
 
 def _gradients(layer, build, inputs, probe):
@@ -124,6 +127,43 @@ def test_recomputed_projections_give_the_kept_outputs_gradients(monkeypatch, cas
         return ad.reshape(out, out.shape)
 
     monkeypatch.setattr(Linear, "__call__", kept_projection)
+    assert recomputed == _gradients(layer, build, inputs, probe)
+
+
+NORMED_LAYERS = {
+    "encoder_layer": (
+        lambda rng: EncoderLayer(8, 2, 16, rng), 1,
+        lambda layer, x: layer(x, _key_padding(3, 5))),
+    "decoder_layer": RECOMPUTED_LAYERS["decoder_layer"],
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("blocks", ["one", "per_row"])
+@pytest.mark.parametrize("case", sorted(NORMED_LAYERS))
+def test_recomputed_layer_norms_give_the_kept_outputs_gradients(monkeypatch, case, blocks,
+                                                                 dtype):
+    make, arity, build = NORMED_LAYERS[case]
+    if blocks == "per_row":
+        monkeypatch.setattr(ad, "_ATTENTION_BLOCK_BYTES", 1)
+    rng = np.random.default_rng(11)
+    with ad.precision(dtype):
+        layer = make(rng)
+        inputs = [Tensor(rng.standard_normal(shape), requires_grad=True)
+                  for shape in [(3, 5, 8), (3, 7, 8)][:arity]]
+        for p in layer.parameters():  # norms that are not the identity
+            p.data += rng.standard_normal(p.shape).astype(dtype) / 4
+    probe = rng.standard_normal((3, 5, 8)).astype(dtype)
+    recomputed = _gradients(layer, build, inputs, probe)
+    normalise = LayerNorm.__call__
+
+    def kept_norm(self, x):
+        # an identity op has no recompute, so each backward that reads the
+        # norm's output reads the array the graph kept
+        out = normalise(self, x)
+        return ad.reshape(out, out.shape)
+
+    monkeypatch.setattr(LayerNorm, "__call__", kept_norm)
     assert recomputed == _gradients(layer, build, inputs, probe)
 
 

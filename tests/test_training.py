@@ -8,6 +8,7 @@ import os
 import stat
 import struct
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -581,8 +582,8 @@ class TestCheckpoint:
 
     def test_save_and_load_hold_no_second_payload(self, tmp_path):
         # a desk model and its AdamW moments: a 5 MB payload.  Save writes
-        # each array from its own buffer; load reads the payload into one
-        # buffer and returns views, which restore copies once into the model
+        # each array from its own buffer; load maps the payload and returns
+        # views, which restore copies once into the model
         cfg = preset("desk")
         model = TrailerModel(cfg, seed=0)
         optimizer = AdamW(model.parameters())
@@ -606,6 +607,85 @@ class TestCheckpoint:
             assert p.data.flags.owndata and p.data.flags.writeable, name
             np.testing.assert_array_equal(p.data, ck.arrays[name], err_msg=name)
         assert all(m.flags.owndata for m in optimizer.m + optimizer.v)
+
+    @staticmethod
+    def _desk_checkpoint(path):
+        """A desk model and its AdamW moments saved at ``path``; returns the
+        model and the bytes of its parameters."""
+        cfg = preset("desk")
+        model = TrailerModel(cfg, seed=0)
+        save_checkpoint(path, model, AdamW(model.parameters()), TrainConfig(), cfg, 0)
+        return model, sum(p.data.nbytes for p in model.parameters())
+
+    def test_load_maps_the_payload_read_only(self, tmp_path):
+        # a load reads the header and maps the payload: the arrays are
+        # read-only views into one np.memmap, and a caller that reads only
+        # the configs (train --resume comparing model keys) reads no array
+        path = tmp_path / "model.ckpt"
+        model, _ = self._desk_checkpoint(path)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ck = load_checkpoint(path)
+            load_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert load_peak < path.stat().st_size // 8  # the parsed header
+        for name, arr in ck.arrays.items():
+            assert not arr.flags.writeable, name
+            root = arr
+            while root.base is not None and not isinstance(root, np.memmap):
+                root = root.base
+            assert isinstance(root, np.memmap), name
+        for name, p in model.named_parameters():
+            np.testing.assert_array_equal(ck.arrays[name], p.data, err_msg=name)
+
+    def test_empty_payload_loads_without_a_map(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, TrailerModel(SLIM, seed=0), None, TrainConfig(), SLIM, 0)
+        raw = path.read_bytes()
+        head_len = struct.unpack("<I", raw[8:12])[0]
+        header = json.loads(raw[12:12 + head_len])
+        header["params"], header["payload_bytes"] = [], 0
+        head = json.dumps(header).encode()
+        path.write_bytes(raw[:8] + struct.pack("<I", len(head)) + head)
+        ck = load_checkpoint(path)
+        assert ck.arrays == {} and ck.model_config == SLIM
+
+    def test_restore_model_reads_no_moment(self, tmp_path, monkeypatch):
+        # eval and infer restore through cli._restore_model: it copies the
+        # parameters and never reads an AdamW moment, two thirds of the file
+        from trailergen import cli
+
+        path = tmp_path / "model.ckpt"
+        model, params = self._desk_checkpoint(path)
+        read = []
+
+        class Recording(dict):
+            def __getitem__(self, name):
+                read.append(name)
+                return super().__getitem__(name)
+
+        def recorded_load(where):
+            ck = load_checkpoint(where)
+            ck.arrays = Recording(ck.arrays)
+            return ck
+
+        monkeypatch.setattr(cli, "load_checkpoint", recorded_load)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            restored, _ = cli._restore_model(path)
+            restore_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert sorted(read) == sorted(name for name, _ in model.named_parameters())
+        # the model's parameters, drawn and then copied in one at a time,
+        # and the parsed header; restoring the moments too takes 4x params
+        assert restore_peak < 2 * params
+        for (name, p), (_, q) in zip(restored.named_parameters(), model.named_parameters()):
+            assert p.data.flags.owndata and p.data.flags.writeable, name
+            np.testing.assert_array_equal(p.data, q.data, err_msg=name)
 
     def test_restore_matches_trained_parameters(self, tmp_path):
         pairs = tiny_pairs(2)
@@ -782,6 +862,29 @@ class TestCheckpoint:
 
 
 class TestResume:
+    def test_resumed_run_drops_the_checkpoint(self, tmp_path, monkeypatch):
+        # the restored model and moments are copies, so neither the loaded
+        # checkpoint nor the map of its payload outlives the restore
+        pairs = tiny_pairs(2)
+        cfg = TrainConfig(epochs=1, batch_size=2, lr_peak=1e-3, seed=2)
+        first = train(pairs, cfg, SLIM, out_dir=tmp_path / "a")
+        refs = []
+
+        def watched_load(path):
+            ck = load_checkpoint(path)
+            payload = next(iter(ck.arrays.values()))
+            while not isinstance(payload, np.memmap):
+                payload = payload.base
+            refs.extend([weakref.ref(ck), weakref.ref(payload)])
+            return ck
+
+        alive = []
+        monkeypatch.setattr(training, "load_checkpoint", watched_load)
+        train(pairs, replace(cfg, epochs=2), SLIM, out_dir=tmp_path / "b",
+              resume_from=first.checkpoint_path,
+              on_epoch=lambda *_: alive.append([ref() is not None for ref in refs]))
+        assert alive == [[False, False]]
+
     def test_resume_replays_identical_curve(self, tmp_path):
         pairs = tiny_pairs(3)
         cfg = TrainConfig(epochs=4, batch_size=2, lr_peak=1e-3, seed=6,
