@@ -127,12 +127,12 @@ def peak_rss_mb() -> float:
     return round(peak / (2**20 if sys.platform == "darwin" else 2**10), 1)  # bytes / KB
 
 
-def write_run_manifest(out_dir, command: str, config_snapshot: dict, seed: int,
+def write_run_manifest(path, command: str, config_snapshot: dict, seed: int,
                        input_hashes: dict, outputs: list[str], started: float,
                        timings: dict | None = None) -> Path:
-    """Write ``run_manifest.json``; ``timings`` adds per-phase wall-clock
-    numbers beside the total and the process's peak memory, which only this
-    file ever records."""
+    """Write a run manifest to ``path``; ``timings`` adds per-phase
+    wall-clock numbers beside the total and the process's peak memory, which
+    only manifests ever record."""
     manifest = {
         "command": command,
         "config": config_snapshot,
@@ -142,7 +142,7 @@ def write_run_manifest(out_dir, command: str, config_snapshot: dict, seed: int,
         "timings": {"wall_seconds": round(time.perf_counter() - started, 3),
                     "peak_rss_mb": peak_rss_mb(), **(timings or {})},
     }
-    path = Path(out_dir) / "run_manifest.json"
+    path = Path(path)
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return path
 
@@ -172,7 +172,7 @@ def cmd_gen_data(args) -> int:
                                 include_conditions=not args.no_conditions)
     outputs = [str(out / "corpus.json")]
     input_hashes = {"config": _hash_file(args.config)} if args.config else {}
-    write_run_manifest(out, "gen-data",
+    write_run_manifest(out / "run_manifest.json", "gen-data",
                        {"data": gen_cfg.to_dict(), "count": args.count,
                         "dataset_fingerprint": dataset_fingerprint(out)},
                        gen_cfg.seed, input_hashes, outputs, started)
@@ -255,13 +255,11 @@ def cmd_train(args) -> int:
     timings = {"load_s": round(loaded - started, 4), "train_s": round(trained - loaded, 4),
                "write_s": round(written - trained, 4), "steps": steps,
                "steps_per_s": round(steps / (trained - loaded), 2)}
-    write_run_manifest(out, "train",
+    write_run_manifest(out / "run_manifest.json", "train",
                        {"model": result.model.cfg.to_dict(), "train": result.config.to_dict()},
                        train_cfg.seed, input_hashes, outputs, started, timings)
-    final = result.history[-1]["total"] if result.history else float("nan")
-    total_steps = train_cfg.epochs * train_cfg.steps_per_epoch(len(examples))
-    print(f"trained {total_steps} steps; final total loss {final:.6f}; "
-          f"checkpoint at {result.checkpoint_path}")
+    final = f"; final total loss {result.history[-1]['total']:.6f}" if steps else ""
+    print(f"trained {steps} steps{final}; checkpoint at {result.checkpoint_path}")
     return EXIT_OK
 
 
@@ -330,7 +328,8 @@ def cmd_eval(args) -> int:
     timings = {name: round(sec, 4) for name, sec in phases.items()}
     timings["decoded_shots"] = shots
     timings["decoded_shots_per_s"] = round(shots / phases["decode_s"], 1)
-    write_run_manifest(out, "eval", {"k_list": k_list, "split": args.split},
+    write_run_manifest(out / f"eval_{args.split}.manifest.json", "eval",
+                       {"k_list": k_list, "split": args.split},
                        0, {"checkpoint": _hash_file(ckpt),
                            "dataset": dataset_fingerprint(args.data)},
                        [str(json_path), str(text_path)], started, timings)
@@ -390,7 +389,7 @@ def cmd_infer(args) -> int:
     sidecar_path = out.with_suffix(".decode.json")
     sidecar_path.write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
 
-    write_run_manifest(out.parent, "infer",
+    write_run_manifest(out.with_suffix(".manifest.json"), "infer",
                        {"topk": args.topk, "max_len": max_len},
                        0, {"checkpoint": _hash_file(ckpt),
                            "movie": _hash_file(args.movie)},

@@ -37,12 +37,11 @@ class DecodeCache:
     rows whatever its cap.
 
     Layer i's cross-attention K and V [B, L, d] are the memory's projections,
-    made at the first step and reused at every later one.  They are cut to
-    the memory's width when a later step attends to a narrower memory (the
-    longest memories have finished).  Every buffer is a plain array, so no
-    gradient flows through the cache.  The attention core splits heads as
-    strided views, so it reads the filled rows in place: no buffer needs a
-    head layout of its own, and attending copies none of the cached K/V.
+    made at the first step and reused at every later one.  Every buffer is a
+    plain array, so no gradient flows through the cache.  The attention core
+    splits heads as strided views, so it reads the filled rows in place: no
+    buffer needs a head layout of its own, and attending copies none of the
+    cached K/V.
     """
 
     FIRST_ROWS = 64
@@ -72,15 +71,11 @@ class DecodeCache:
         values[:, t] = v[:, 0]
         return keys[:, :t + 1], values[:, :t + 1]
 
-    def cross(self, layer: int, width: int, project) -> tuple[np.ndarray, np.ndarray]:
-        """The memory's cross-attention K and V for ``layer``, ``width`` rows wide.
-
-        ``project()`` returns them at the first step only."""
+    def cross(self, layer: int, project) -> tuple[np.ndarray, np.ndarray]:
+        """The memory's cross-attention K and V for ``layer``; ``project()``
+        returns them at the first step only."""
         if self.cross_keys[layer] is None:
             self.cross_keys[layer], self.cross_values[layer] = project()
-        elif width < self.cross_keys[layer].shape[1]:
-            self.cross_keys[layer] = self.cross_keys[layer][:, :width].copy()
-            self.cross_values[layer] = self.cross_values[layer][:, :width].copy()
         return self.cross_keys[layer], self.cross_values[layer]
 
     def keep(self, rows) -> None:
@@ -110,8 +105,7 @@ class DecoderStack(Module):
         ``self_mask`` is needed.  The cross-attention keys and values come
         from the cache too: the first step projects ``memory`` into it, and
         later steps pass the same memory, less the rows of finished
-        sequences (``cache.keep``) and any trailing columns that only they
-        used, with ``cross_mask`` to match.
+        sequences (``cache.keep``), with ``cross_mask`` to match.
         """
         if cache is not None:
             if grad_enabled():
@@ -124,7 +118,7 @@ class DecoderStack(Module):
             kv = cross_kv = None
             if cache is not None:
                 kv = lambda project, i=i: cache.extend(i, *project())
-                cross_kv = functools.partial(cache.cross, i, memory.shape[-2])
+                cross_kv = functools.partial(cache.cross, i)
             h = layer(h, memory, self_mask, cross_mask, kv, cross_kv)
         if cache is not None:
             cache.length += 1

@@ -4,8 +4,10 @@
 encoder, context encoder, decoder stack).  Conditioning adds none: condition
 rows join the memory as they are.
 Every pass runs on zero-padded [B, L, d] batches with validity masks: the
-training loop feeds whole batches, and a single movie (the greedy decode
-loop, ``encode_single``, ``decode_teacher_forced``) is a batch of one.
+training loop feeds whole batches, the greedy decode loop encodes and
+decodes each group of movies as one batch, and a single movie
+(``encode_single``, ``decode_teacher_forced``, ``generate``) is a batch of
+one.
 
 Submodules draw their init values from per-component seed streams, so e.g.
 ablating the trailerness encoder leaves every other weight unchanged.
@@ -113,17 +115,17 @@ class TrailerModel(Module):
         return EncodeResult(memory=memory, valid=valid, scores=scores)
 
     def attach_condition(self, enc: EncodeResult, conditions,
-                         first: int = 0) -> tuple[Tensor, np.ndarray]:
+                         indices=None) -> tuple[Tensor, np.ndarray]:
         """Append condition rows to the memory as extra cross-attention keys.
 
         The one place that decides what a pass is fed: an unconditioned
         model ignores ``conditions``, and a conditioned one needs one
         [Lc, d_model] array per movie of ``enc``, such as embedded plot
-        summaries, so a None condition is a ``ConfigurationError``, which
-        names the movie by its index in the caller's batch: ``first`` is the
-        index of ``enc``'s movie 0 there.  Returns
-        the merged memory and its validity mask.  Empty [0, d_model] rows
-        are the explicit unconditioned pass: the memory comes back untouched.
+        summaries, so a None condition is a ``ConfigurationError`` naming the
+        lowest such movie by its index in the caller's batch (``indices``,
+        0, 1, ... by default).  Returns the merged memory and its validity
+        mask.  Empty [0, d_model] rows add no key: the mask hides their
+        padding, and when all are empty the memory comes back untouched.
         """
         if self.cfg.condition_mode == "none":
             return enc.memory, enc.valid
@@ -131,10 +133,12 @@ class TrailerModel(Module):
             conditions = [None] * enc.memory.shape[0]
         if len(conditions) != enc.memory.shape[0]:
             raise ShapeError("need one condition per batched movie")
-        missing = [i for i, c in enumerate(conditions) if c is None]
+        if indices is None:
+            indices = range(len(conditions))
+        missing = [i for i, c in zip(indices, conditions) if c is None]
         if missing:
             raise ConfigurationError(
-                f"the model is conditioned, but movie {first + missing[0]} of the batch has "
+                f"the model is conditioned, but movie {min(missing)} of the batch has "
                 f"no condition rows; pass [0, {self.cfg.d_model}] rows for an unconditioned "
                 f"pass")
         arrays = [as_embedding_array(c) for c in conditions]
@@ -148,8 +152,6 @@ class TrailerModel(Module):
         cond_lengths = np.array([a.shape[0] for a in arrays], dtype=np.int64)
         if np.all(cond_lengths == 0):
             return enc.memory, enc.valid
-        if np.any(cond_lengths == 0):
-            raise ConfigurationError("cannot batch empty with non-empty conditions")
         full = int(cond_lengths.max())
         cond = _pad_stack([Tensor(arr) for arr in arrays], full)
         cond_valid = ad.padding_mask(cond_lengths, full)
@@ -198,17 +200,14 @@ class TrailerModel(Module):
                        max_len: int = 32, topk: int = 1) -> list[DecodedTrailer]:
         """Autoregressive decode of many movies: grow each prefix until EOS or the step cap.
 
-        Each movie is encoded and conditioned as a batch of one, so no
-        [B, H, L, L] encoder scores are ever held for many movies at once.
-        Consecutive memories are zero-padded into one [B, L, d] batch while
-        that batch and the cross-attention keys and values its decode cache
-        will hold (two more [B, L, d] arrays per decoder layer) stay under
-        ``_GROUP_BYTES``, and each step runs one cached decoder pass over
-        the next row of every sequence still decoding.
-        Each decoded embedding is matched to movie shots immediately; the
-        matched shot feeds back instead of the raw prediction when the model
-        is configured for retrieval feedback.  ``attach_condition`` decides
-        whether each movie's condition rows (or None) are read.
+        Movies are stable-sorted by memory width (n + 2 framed rows, plus the
+        condition rows of a conditioned model) and cut into groups while a
+        group's zero-padded [B, L, d] memory and the cross-attention keys
+        and values its decode cache will hold (two more [B, L, d] arrays per
+        decoder layer) stay under ``_GROUP_BYTES``.  Each group is encoded,
+        conditioned and decoded as one batch; results come back in the
+        caller's order.  ``attach_condition`` decides whether each movie's
+        condition rows (or None) are read.
         """
         if max_len < 1:
             raise ValueError("max_len must be >= 1")
@@ -219,54 +218,57 @@ class TrailerModel(Module):
             conditions = [None] * len(arrays)
         elif len(conditions) != len(arrays):
             raise ShapeError(f"{len(conditions)} conditions for {len(arrays)} movies")
-        decoded, group, rows = [], [], 0
-        copies = 1 + 2 * len(self.decoder.layers)
+        # a group's memory pads the framed rows and the condition rows apart
+        sizes = np.array([[a.shape[0] + 2, 0] for a in arrays])
+        widths = sizes[:, 0]
+        if self.cfg.condition_mode != "none":
+            sizes[:, 1] = [0 if c is None else len(as_embedding_array(c)) for c in conditions]
+            # movies that lack their rows sort first: the error names the lowest
+            widths = np.where([c is None for c in conditions], -1, sizes.sum(axis=1))
+        row_bytes = ((1 + 2 * len(self.decoder.layers)) * self.cfg.d_model
+                     * np.result_type(self.sos.dtype, ad.default_dtype()).itemsize)
+        groups, widest = [[]], 0
+        for i in np.argsort(widths, kind="stable"):
+            rows = np.maximum(widest, sizes[i])
+            if groups[-1] and (len(groups[-1]) + 1) * rows.sum() * row_bytes > _GROUP_BYTES:
+                groups.append([])
+                rows = sizes[i]
+            groups[-1].append(i)
+            widest = rows
+        decoded = [None] * len(arrays)
         with ad.no_grad():
-            for i, (movie, condition) in enumerate(zip(arrays, conditions)):
-                memory, _ = self.attach_condition(self.encode_batch([movie]), [condition],
-                                                  first=i)
-                memory = memory.data[0]
-                rows = max(rows, memory.shape[0])
-                padded = copies * (len(group) + 1) * rows * memory.shape[1] * memory.itemsize
-                if group and padded > _GROUP_BYTES:
-                    decoded += self._decode_group(group, max_len, topk)
-                    group, rows = [], memory.shape[0]
-                group.append((movie, memory))
-            decoded += self._decode_group(group, max_len, topk)
+            for group in groups:
+                group_movies = [arrays[i] for i in group]
+                memory, valid = self.attach_condition(
+                    self.encode_batch(group_movies), [conditions[i] for i in group], group)
+                results = self._decode_group(group_movies, memory, valid, max_len, topk)
+                for i, result in zip(group, results):
+                    decoded[i] = result
         return decoded
 
-    def _decode_group(self, group: list, max_len: int, topk: int) -> list[DecodedTrailer]:
-        """Decode (movie, [L, d] memory) pairs together; a finished sequence leaves the batch.
+    def _decode_group(self, movies: list, memory: Tensor, valid: np.ndarray, max_len: int,
+                      topk: int) -> list[DecodedTrailer]:
+        """Decode movies together over their padded memory [B, L, d] and its
+        validity [B, L]; a finished sequence leaves the batch.
 
         Step t feeds one row per active sequence (SOS, then the fed-back row,
         plus positional row t-1).  A ``DecodeCache`` holds the self-attention
         keys and values of the earlier rows and the cross-attention keys and
-        values of the padded group memory, projected at step 1.  When
-        sequences finish, the cache keeps the others' rows, and the memory
-        and its mask are cut to the longest memory still decoding.
+        values of the memory, projected at step 1.  When sequences finish,
+        the cache, the memory and its mask keep the others' rows.
         """
         cfg = self.cfg
-        lengths = np.array([memory.shape[0] for _, memory in group])
-        memories = np.zeros((len(group), lengths.max(), cfg.d_model), dtype=group[0][1].dtype)
-        for row, (_, memory) in zip(memories, group):
-            row[:memory.shape[0]] = memory
-        feed = np.empty((len(group), cfg.d_model),
-                        dtype=np.result_type(self.sos.dtype, ad.default_dtype()))
+        feed = np.empty((len(movies), cfg.d_model), dtype=memory.dtype)
         feed[:] = self.sos.data
         # no decode outgrows the position table, whatever the caller's cap
         cache = DecodeCache(len(self.decoder.layers), min(max_len, cfg.max_len + 2))
-        states = [_GreedyState(movie, topk, cfg, self.eos.data, max_len) for movie, _ in group]
-        active, memory = np.arange(len(group)), None
+        states = [_GreedyState(movie, topk, cfg, self.eos.data, max_len) for movie in movies]
+        active = np.arange(len(movies))
         t = 1
         while active.size:
-            if memory is None or memory.shape[0] != active.size:
-                width = int(lengths[active].max())
-                memory = Tensor(memories[active, :width], dtype=memories.dtype)
-                cross_mask = None
-                if np.any(lengths[active] < width):
-                    cross_mask = ad.padding_mask(lengths[active], width)[:, None, None, :]
             x = ad.add(Tensor(feed[active, None], dtype=feed.dtype),
                        self.positional_rows(t)[t - 1])
+            cross_mask = None if valid.all() else valid[:, None, None, :]
             out = self.decoder(x, memory, None, cross_mask, cache)
             still = []
             for row, i in enumerate(active):
@@ -276,7 +278,8 @@ class TrailerModel(Module):
                     still.append(row)
             if len(still) < active.size:
                 cache.keep(still)
-                active = active[still]
+                active, valid = active[still], valid[still]
+                memory = Tensor(memory.data[still], dtype=memory.dtype)
             t += 1
         return [state.result() for state in states]
 

@@ -340,6 +340,22 @@ class TestTrain:
         assert [int(r[0]) for r in tail_rows] == [5, 6, 7, 8]
         assert load_checkpoint(resumed / "model.ckpt").step == 8
 
+    def test_resume_prints_the_steps_this_run_trained(self, run_dir, data_dir, tmp_path,
+                                                      capsys):
+        # run_dir holds 2 epochs of 2 steps: a third epoch trains 2 steps,
+        # and a resume that asks for no more epochs trains none
+        for epochs, printed in ((3, "trained 2 steps; final total loss "),
+                                (2, "trained 0 steps; checkpoint at ")):
+            out = tmp_path / f"epochs_{epochs}"
+            capsys.readouterr()
+            assert main(["train", "--data", str(data_dir), "--out", str(out),
+                         "--resume", str(run_dir / "model.ckpt"),
+                         "--set", f"train.epochs={epochs}", "--set", "train.batch_size=4",
+                         "--set", "train.lr_peak=1e-3", "--set", "train.seed=0"]) == 0
+            assert capsys.readouterr().out.startswith(printed)
+            manifest = json.loads((out / "run_manifest.json").read_text())
+            assert manifest["timings"]["steps"] == epochs * 2 - 4
+
     @pytest.mark.parametrize("flags, key", [
         (["--no-context-encoder"], "use_context_encoder"),
         (["--no-trailerness-encoder"], "use_trailerness_encoder"),
@@ -473,7 +489,7 @@ class TestEval:
                    "--data", str(data_dir), "--split", "test", "--k", "1",
                    "--out", str(out), "--baseline-trials", "10"])
         assert rc == 0
-        timings = json.loads((out / "run_manifest.json").read_text())["timings"]
+        timings = json.loads((out / "eval_test.manifest.json").read_text())["timings"]
         for phase in ("load_s", "decode_s", "score_s", "write_s"):
             assert 0.0 <= timings[phase] <= timings["wall_seconds"]
         assert timings["decoded_shots"] >= 1
@@ -603,6 +619,24 @@ class TestEval:
 # infer
 # --------------------------------------------------------------------------
 
+def test_eval_and_infer_leave_the_train_manifest_alone(run_dir, data_dir, tmp_path):
+    # the quickstart writes eval and infer outputs into the train run's
+    # directory; each command keeps its own manifest there
+    (tmp_path / "model.ckpt").write_bytes((run_dir / "model.ckpt").read_bytes())
+    train_manifest = (run_dir / "run_manifest.json").read_bytes()
+    (tmp_path / "run_manifest.json").write_bytes(train_manifest)
+    movie_file = next(data_dir.glob("*.movie.json"))
+    assert main(["eval", "--checkpoint", str(tmp_path / "model.ckpt"), "--data",
+                 str(data_dir), "--split", "test", "--out", str(tmp_path),
+                 "--baseline-trials", "10"]) == 0
+    assert main(["infer", "--checkpoint", str(tmp_path / "model.ckpt"), "--movie",
+                 str(movie_file), "--out", str(tmp_path / "decoded.json"), "--max-len", "3"]) == 0
+    assert (tmp_path / "run_manifest.json").read_bytes() == train_manifest
+    for name, command in (("eval_test.manifest.json", "eval"),
+                          ("decoded.manifest.json", "infer")):
+        assert json.loads((tmp_path / name).read_text())["command"] == command
+
+
 class TestInfer:
     def test_max_len_one_emits_one_shot(self, run_dir, data_dir, tmp_path):
         movie_file = next(data_dir.glob("*.movie.json"))
@@ -641,7 +675,7 @@ class TestInfer:
         rc = main(["infer", "--checkpoint", str(run_dir / "model.ckpt"),
                    "--movie", str(movie_file), "--out", str(out), "--max-len", "3"])
         assert rc == 0
-        timings = json.loads((tmp_path / "run_manifest.json").read_text())["timings"]
+        timings = json.loads((tmp_path / "decoded.manifest.json").read_text())["timings"]
         assert 0.0 <= timings["decode_s"] <= timings["wall_seconds"]
         assert timings["decoded_shots_per_s"] > 0.0
         assert 0.0 < timings["peak_rss_mb"] <= peak_rss_mb()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from trailergen import autodiff as ad
+from trailergen import model as model_module
 from trailergen.autodiff import ConfigurationError, ShapeError
 from trailergen.config import ModelConfig, with_overrides
 from trailergen.model import TrailerModel
@@ -127,8 +128,8 @@ class TestModelConditioning:
         assert not np.array_equal(plain.all_predictions, steered.all_predictions)
 
     def test_decode_without_a_condition_raises(self):
-        # each movie is conditioned alone; the error names its index in the
-        # caller's list
+        # the error names the movie by its index in the caller's list, not in
+        # its decode group
         model = conditioned()
         rng = np.random.default_rng(5)
         movies = [rng_movie(rng, 9), rng_movie(rng, 6), rng_movie(rng, 7)]
@@ -140,6 +141,16 @@ class TestModelConditioning:
             with pytest.raises(ConfigurationError,
                                match=f"conditioned, but movie {missing} of the batch"):
                 model.generate_batch(movies, conditions, max_len=4)
+
+    def test_decode_names_the_lowest_missing_index_across_groups(self, monkeypatch):
+        # a budget this small holds one movie per group, and the movies
+        # without rows still come first, in the caller's order
+        monkeypatch.setattr(model_module, "_GROUP_BYTES", 1)
+        model = conditioned()
+        rng = np.random.default_rng(5)
+        movies = [rng_movie(rng, 9), rng_movie(rng, 6), rng_movie(rng, 3)]
+        with pytest.raises(ConfigurationError, match="conditioned, but movie 0 of the batch"):
+            model.generate_batch(movies, [None, np.ones((2, 16)), None], max_len=4)
 
     def test_conditioned_weights_match_unconditioned_base(self):
         # conditioning adds no parameter and reshuffles none
@@ -173,14 +184,6 @@ class TestModelConditioning:
         enc = model.encode_batch([rng_movie(rng, 7), rng_movie(rng, 9)])
         with pytest.raises(ShapeError):
             model.attach_condition(enc, [np.ones((2, 16))])
-
-    def test_batched_mixed_empty_rejected(self):
-        cfg = with_overrides(BASE, condition_mode="encoded")
-        model = TrailerModel(cfg, seed=3)
-        rng = np.random.default_rng(5)
-        enc = model.encode_batch([rng_movie(rng, 7), rng_movie(rng, 9)])
-        with pytest.raises(ConfigurationError):
-            model.attach_condition(enc, [np.ones((2, 16)), np.zeros((0, 16))])
 
     def test_batched_all_empty_is_pass_through(self):
         cfg = with_overrides(BASE, condition_mode="encoded")

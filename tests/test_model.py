@@ -503,7 +503,50 @@ def test_generate_batch_groups_stay_within_byte_budget(monkeypatch):
         monkeypatch.setattr(DecoderStack, "__call__", original)
         refs = [oracles.reference_generate(model, m, max_len=3) for m in movies]
     assert max(group_bytes) <= budget
-    assert batch_sizes.count(max(batch_sizes)) > 1 and max(batch_sizes) > 1
+    # groups take the movies in order of memory width, each as many as fit:
+    # the next movie would have broken the budget
+    widths = sorted(m.shape[0] + 2 for m in movies)
+    row_bytes = 5 * 8 * 8                 # one memory row and its K/V, float64
+    assert sum(batch_sizes) == len(movies) and max(batch_sizes) > 1
+    start = 0
+    for size in batch_sizes[:-1]:
+        start += size
+        assert (size + 1) * widths[start] * row_bytes > budget
+    for g, r in zip(got, refs):
+        _assert_same_decode(g, r, atol=1e-12)
+
+
+def test_generate_batch_encodes_groups_in_width_order_and_returns_callers_order(
+        monkeypatch):
+    # movies arrive longest first, with conditions that mix empty [0, d] and
+    # non-empty rows in every group.  Memory widths (n + 2 + condition rows)
+    # are 14, 15, 11, 12, 9, 6 and 7.  A group pads the framed and the
+    # condition rows apart, so the last group's memory is 14 + 2 rows wide; a
+    # budget of two 16-row memories and their two layers' K/V cuts the sorted
+    # movies into groups of 3, 2 and 2, each encoded once
+    shots, cond_rows = (12, 11, 9, 7, 6, 4, 3), (0, 2, 0, 3, 1, 0, 2)
+    movies = [_movie(n, seed=110 + i) for i, n in enumerate(shots)]
+    rng = np.random.default_rng(49)
+    conditions = [rng.normal(size=(c, 8)) for c in cond_rows]
+    monkeypatch.setattr(model_module, "_GROUP_BYTES", 2 * 16 * 5 * 8 * 8)
+    encoded = []
+    original = TrailerModel.encode_batch
+
+    def recording(self, group):
+        encoded.append([len(m) for m in group])
+        return original(self, group)
+
+    cfg = small_cfg(decoder_layers=2, condition_mode="encoded", feedback="retrieved",
+                    no_repeat=True, eos_rule="threshold", eos_threshold=1.1)
+    with ad.precision(np.float64):
+        model = TrailerModel(cfg, seed=50)
+        monkeypatch.setattr(TrailerModel, "encode_batch", recording)
+        got = model.generate_batch(movies, conditions, max_len=6, topk=3)
+        monkeypatch.setattr(TrailerModel, "encode_batch", original)
+        refs = [oracles.reference_generate(model, m, c, max_len=6, topk=3)
+                for m, c in zip(movies, conditions)]
+    assert encoded == [[4, 3, 6], [9, 7], [12, 11]]
+    assert [len(g.all_predictions) for g in got] == [6, 6, 6, 6, 6, 5, 4]
     for g, r in zip(got, refs):
         _assert_same_decode(g, r, atol=1e-12)
 
@@ -570,17 +613,14 @@ def test_cached_decode_feeds_one_row_per_sequence_per_step(monkeypatch):
     steps = [len(g.all_predictions) for g in got]
     assert steps == [3, 5, 4]
     assert len(calls) == max(steps)                      # one decoder call per step
+    order = [0, 2, 1]                                    # by memory width: 4, 5, 8 rows
     with ad.no_grad():
-        memories = [model.encode_single(m).memory.data[0] for m in movies]
-    for step, (shape, memory) in enumerate(calls, start=1):
-        active = [i for i, s in enumerate(steps) if s >= step]
+        memory = model.encode_batch([movies[i] for i in order]).memory.data
+    for step, (shape, got_memory) in enumerate(calls, start=1):
+        active = [row for row, i in enumerate(order) if steps[i] >= step]
         assert shape == (len(active), 1, cfg.d_model)    # one new row per active sequence
-        width = max(memories[i].shape[0] for i in active)
-        assert memory.shape == (len(active), width, cfg.d_model)
-        for row, i in zip(memory, active):
-            rows = memories[i].shape[0]
-            np.testing.assert_array_equal(row[:rows], memories[i])
-            assert not row[rows:].any()
+        # the group's own memory, less the rows of finished sequences
+        np.testing.assert_array_equal(got_memory, memory[active])
 
 
 def test_cross_attention_projects_memory_once_per_group(monkeypatch):
@@ -614,10 +654,11 @@ def test_cross_attention_projects_memory_once_per_group(monkeypatch):
     assert sorted(calls) == sorted([(i, name) for i in range(2) for name in ("wk", "wv")] * 3)
 
 
-def test_cached_decode_cuts_cross_cache_when_longest_memory_finishes_first(monkeypatch):
+def test_cached_decode_matches_reference_when_longest_memory_finishes_first(monkeypatch):
     # the first movie has the longest memory (2 shots, 9 condition rows) and
     # the smallest no-repeat pool, so it leaves first; the remaining steps
-    # attend over the cut cache and still match the uncached reference
+    # attend over the group's full width (8 framed and 9 condition rows),
+    # their padding masked, and still match the uncached reference
     cfg = small_cfg(decoder_layers=2, eos_rule="threshold", eos_threshold=1.1,
                     no_repeat=True, condition_mode="encoded")
     rng = np.random.default_rng(46)
@@ -641,7 +682,7 @@ def test_cached_decode_cuts_cross_cache_when_longest_memory_finishes_first(monke
         refs = [oracles.reference_generate(model, m, c, max_len=5, topk=2)
                 for m, c in zip(movies, conditions)]
     assert [len(g.all_predictions) for g in got] == [3, 5, 5]
-    expected = [(3, 13)] * 3 + [(2, 9)] * 2
+    expected = [(3, 17)] * 3 + [(2, 17)] * 2
     assert [{k[:2] for kv in step for k in kv} for step in steps] == [{e} for e in expected]
     for g, r in zip(got, refs):
         _assert_same_decode(g, r, atol=1e-12)
@@ -649,10 +690,10 @@ def test_cached_decode_cuts_cross_cache_when_longest_memory_finishes_first(monke
 
 def test_decode_group_holds_its_cached_bytes_and_little_more():
     # eight 150-shot desk movies share one group.  A decode that stops at
-    # step 1 peaks at the padded memory, every layer's cross-attention K/V
-    # and self-attention rows, plus at most five more [B, L, d] arrays: the
-    # per-movie memories and one cross-attention's projection and head-split
-    # temporaries
+    # step 1 holds the padded memory and every layer's cross-attention K/V
+    # and self-attention rows.  The peak is the group's one encode, whose
+    # activations and attention blocks (at most 1 MiB each) come to 1.98
+    # [B, L, d] arrays more than those bytes
     cfg = with_overrides(preset("desk"), eos_rule="threshold", eos_threshold=-2.0)
     model = TrailerModel(cfg, seed=48)
     movies = [_movie(150, d=cfg.d_model, seed=90 + i) for i in range(8)]
@@ -668,7 +709,7 @@ def test_decode_group_holds_its_cached_bytes_and_little_more():
     finally:
         tracemalloc.stop()
     assert [(g.terminated_by, len(g.all_predictions)) for g in got] == [("eos", 1)] * 8
-    assert cached <= peak <= cached + self_kv + 5 * one
+    assert cached <= peak <= cached + self_kv + 2.25 * one
 
 
 def test_cache_refuses_gradients_multi_row_steps_and_overflow():

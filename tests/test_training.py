@@ -275,6 +275,23 @@ class TestBatchLoss:
                 np.testing.assert_allclose(batched[name], accum[name],
                                            atol=1e-6, err_msg=name)
 
+    def test_mixed_empty_and_nonempty_conditions_equal_each_pair_alone(self):
+        # empty [0, d] condition rows add no key to the batch: the padding
+        # that the other pairs' rows give them is masked, so every loss term
+        # is the mean of what each pair gives alone
+        with ad.precision(np.float64):
+            model = TrailerModel(replace(SLIM, condition_mode="encoded"), seed=0)
+            pairs = tiny_pairs(3)
+            rng = np.random.default_rng(12)
+            for ex, rows in zip(pairs, (0, 3, 0)):
+                ex.condition = ShotSequence(f"c{rows}", rng.normal(size=(rows, 16)),
+                                            role="condition")
+            _, batched = batch_loss(model, pad_batch(pairs))
+            singles = [batch_loss(model, pad_batch([ex]))[1].as_dict() for ex in pairs]
+        for key, value in batched.as_dict().items():
+            assert value == pytest.approx(np.mean([one[key] for one in singles]),
+                                          rel=0, abs=1e-12), key
+
     def test_batch_order_does_not_change_total(self):
         with ad.precision(np.float64):
             model = TrailerModel(SLIM, seed=0)
